@@ -60,6 +60,15 @@ class CircularWord:
         return iter(self.letters)
 
 
+def json_list(data: dict, key) -> list:
+    """``data[key]`` when it is a JSON list of strings; a string is never
+    split into characters."""
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"'{key}' must be a list of strings")
+    return value
+
+
 _NFA_KEYS = {"states", "alphabet", "transitions", "initial", "accepting"}
 _TRANSITION_KEYS = {"from", "letter", "to"}
 
@@ -303,13 +312,25 @@ class Nfa:
         missing = _NFA_KEYS - set(data)
         if missing:
             raise ValueError(f"missing keys {sorted(missing)}")
+        if not isinstance(data["transitions"], list):
+            raise ValueError("'transitions' must be a list")
         delta = []
         for t in data["transitions"]:
-            if set(t) != _TRANSITION_KEYS:
-                raise ValueError(f"transition must have keys from/letter/to, got {sorted(t)}")
+            if (
+                not isinstance(t, dict)
+                or set(t) != _TRANSITION_KEYS
+                or not all(isinstance(v, str) for v in t.values())
+            ):
+                raise ValueError(
+                    f"transition must be an object of strings from/letter/to, got {t!r}"
+                )
             delta.append((t["from"], t["letter"], t["to"]))
         return cls.make(
-            data["states"], data["alphabet"], delta, data["initial"], data["accepting"]
+            json_list(data, "states"),
+            json_list(data, "alphabet"),
+            delta,
+            json_list(data, "initial"),
+            json_list(data, "accepting"),
         )
 
     @classmethod

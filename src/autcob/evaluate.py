@@ -2,29 +2,42 @@
 
 Conventions, fixed once and used everywhere:
 
-* matrices act on column vectors, so evaluation composes slices bottom to
-  top by left multiplication;
-* side-by-side generators combine by Kronecker product in wire order, with
-  row-major indexing on (left, right) factor pairs;
+* an evaluation is a matrix whose columns index basis tuples of the domain
+  and whose rows index basis tuples of the codomain, each tuple flattened
+  row-major with the leftmost wire slowest: the indexing of the Kronecker
+  product of the wires' modules;
+* matrices act on column vectors, so slices compose bottom to top;
 * a dot reading letter a on an upward wire is the transpose of the letter
   matrix (columns index source states), so the dots of a word are met in
   word order walking up from the domain.
 
+Evaluation is a symmetric monoidal functor, so the whole-boundary layer of
+a slice (the Kronecker product of its generators) is never built.  The
+evaluator keeps one sparse running tensor, a dict from (current boundary
+basis tuple, domain column) to its nonzero value, and contracts wire by
+wire: each generator acts on its own 0-2 wires through a table from the
+basis tuple on its inputs to (output tuple, value) pairs, identity wires
+pass their index through, and a swap exchanges two indices.  The dense
+matrix is built once, at the end.
+
 For an automaton every wire carries the free module on the states.  For a
 T-automaton every wire carries the ambient free module on the points,
 cut down by the idempotent E with E[y][x] = 1 iff y lies in U_x (and its
-transpose on '-' wires); every generator image is balanced by these
-idempotents, and the identity wire itself evaluates to E.
+transpose on '-' wires), and the identity wire itself evaluates to E.
+Every generator image is balanced by these idempotents (E' G E = G), so E
+is applied once, to the domain wires, and identity wires and swaps stay
+pure index operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .automaton import Nfa, as_word
 from .diagrams import Diagram, Gen, circle_diagram, interval_diagram
 from .errors import CapacityError
-from .semiring import BOOL, Mat, Semiring, identity, kron
+from .semiring import BOOL, Mat, Semiring
 from .topology import TAutomaton
 
 MAX_DIM_PRODUCT = 1 << 20
@@ -36,8 +49,6 @@ class Evaluation:
     domain (columns) and codomain (rows)."""
 
     matrix: Mat
-    domain_dims: tuple
-    codomain_dims: tuple
 
     def scalar(self):
         if self.matrix.rows != 1 or self.matrix.cols != 1:
@@ -45,57 +56,109 @@ class Evaluation:
         return self.matrix.entries[0]
 
 
-def _guard(width, dim):
-    if dim ** width > MAX_DIM_PRODUCT:
+def _guard(n, dom_width, widest):
+    """Refuse before allocating.  Over a boundary of width w the running
+    tensor holds at most n^(w + |dom|) entries; the codomain is the last
+    boundary, so this also bounds the result's n^(|cod| + |dom|)."""
+    size = n ** (widest + dom_width)
+    if size > MAX_DIM_PRODUCT:
         raise CapacityError(
-            f"boundary of width {width} over dimension {dim} exceeds the cap"
+            f"evaluation needs up to {size} entries ({n} basis elements per"
+            f" wire, {widest} boundary and {dom_width} domain wires),"
+            f" over the cap of {MAX_DIM_PRODUCT}"
         )
 
 
-def _delta_column(ring, n) -> Mat:
-    ent = [ring.zero] * (n * n)
-    for q in range(n):
-        ent[q * n + q] = ring.one
-    return Mat(ring, n * n, 1, tuple(ent))
+def _table(ring, pairs) -> dict:
+    """Generator image from (input tuple, output tuple) pairs of value one."""
+    out = {}
+    for inp, outp in pairs:
+        out.setdefault(inp, []).append((outp, ring.one))
+    return out
 
 
-def _perm_swap(ring, n) -> Mat:
-    # (i, j) at the input becomes (j, i) at the output
-    ent = [ring.zero] * (n * n * n * n)
-    for i in range(n):
-        for j in range(n):
-            ent[(j * n + i) * (n * n) + (i * n + j)] = ring.one
-    return Mat(ring, n * n, n * n, tuple(ent))
-
-
-def _indicator_column(ring, order, members) -> Mat:
-    return Mat(
-        ring, len(order), 1,
-        tuple(ring.one if x in members else ring.zero for x in order),
+def _steps(slc, image) -> list:
+    """One slice as (position, input width, table) steps; a swap's table
+    is None and identity wires take no step.  The position counts wires on
+    the boundary as it stands when the step runs.  Shrinking generators go
+    first, so no boundary in between is wider than the slice's input or
+    output."""
+    order = sorted(
+        (len(g.outputs()) - len(g.inputs()), k)
+        for k, g in enumerate(slc)
+        if g.kind != "id"
     )
+    done = set()
+    steps = []
+    for _, k in order:
+        pos = sum(
+            len(h.outputs() if j in done else h.inputs())
+            for j, h in enumerate(slc[:k])
+        )
+        g = slc[k]
+        steps.append((pos, len(g.inputs()), None if g.kind == "swap" else image(g)))
+        done.add(k)
+    return steps
 
 
-def _run(diagram: Diagram, ring: Semiring, n: int, wire_image, gen_image) -> Evaluation:
+def _apply(ring, tensor, pos, width, table) -> dict:
+    end = pos + width
+    if table is None:
+        return {
+            key[:pos] + (key[pos + 1], key[pos]) + key[end:]: v
+            for key, v in tensor.items()
+        }
+    add, mul = ring.add, ring.mul
+    out = {}
+    get = out.get
+    for key, v in tensor.items():
+        pairs = table.get(key[pos:end])
+        if not pairs:
+            continue
+        head, tail = key[:pos], key[end:]
+        for o, w in pairs:
+            new = head + o + tail
+            x = mul(v, w)
+            old = get(new)
+            out[new] = x if old is None else add(old, x)
+    return out
+
+
+def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluation:
+    """``wire(sign)`` is the table of an identity wire, or None when it is
+    the identity; ``gen_image(g)`` is the table of any other generator."""
     dom, cod = diagram.typecheck()
-    _guard(len(dom), n)
-    if diagram.slices:
-        boundary = dom
-        mat = None
-        cache = {}
-        for slc in diagram.slices:
-            boundary = tuple(s for g in slc for s in g.outputs())
-            _guard(len(boundary), n)
-            layer = identity(ring, 1)
-            for g in slc:
-                if g not in cache:
-                    cache[g] = gen_image(g)
-                layer = kron(layer, cache[g])
-            mat = layer if mat is None else layer @ mat
-    else:
-        mat = identity(ring, 1)
-        for s in dom:
-            mat = kron(mat, wire_image(s))
-    return Evaluation(mat, (n,) * len(dom), (n,) * len(cod))
+    widest = max(
+        [len(dom)] + [sum(len(g.outputs()) for g in slc) for slc in diagram.slices]
+    )
+    _guard(n, len(dom), widest)
+    # keys are the boundary basis tuple followed by the domain column
+    tensor = {
+        d + (col,): ring.one
+        for col, d in enumerate(product(range(n), repeat=len(dom)))
+    }
+    for pos, sign in enumerate(dom):
+        table = wire(sign)
+        if table is not None:
+            tensor = _apply(ring, tensor, pos, 1, table)
+    cache = {}
+
+    def image(g: Gen):
+        if g not in cache:
+            cache[g] = gen_image(g)
+        return cache[g]
+
+    for slc in diagram.slices:
+        for pos, width, table in _steps(slc, image):
+            tensor = _apply(ring, tensor, pos, width, table)
+    rows, cols = n ** len(cod), n ** len(dom)
+    ent = [ring.zero] * (rows * cols)
+    for key, v in tensor.items():
+        r = 0
+        for x in key[:-1]:
+            r = r * n + x
+        ent[r * cols + key[-1]] = v
+    return Evaluation(Mat(ring, rows, cols, tuple(ent)))
 
 
 # -- free modules (automata) --------------------------------------------------
@@ -107,44 +170,46 @@ def eval_nfa(nfa: Nfa, diagram: Diagram, ring: Semiring = BOOL) -> Evaluation:
     if unknown:
         raise KeyError(f"unknown letters {sorted(unknown)}")
     n = len(nfa.states)
-    states = nfa.states
+    idx = nfa._index
 
     def endpoint_members(g: Gen, plain):
         if g.label is None:
             return plain
-        if g.label not in nfa._index:
+        if g.label not in idx:
             raise KeyError(f"unknown state {g.label!r}")
         return {g.label}
 
-    def image(g: Gen) -> Mat:
+    def image(g: Gen) -> dict:
         k = g.kind
-        if k == "id":
-            return identity(ring, n)
         if k == "dot":
-            m = nfa.letter_matrix(g.letter, ring)
-            return m.transpose() if g.sign == "+" else m
+            edges = [
+                (idx[q], idx[r])
+                for q in nfa.states
+                for r in nfa._succ.get((q, g.letter), ())
+            ]
+            if g.sign == "-":
+                edges = [(r, q) for q, r in edges]
+            return _table(ring, (((q,), (r,)) for q, r in edges))
         if k == "cup":
-            return _delta_column(ring, n)
+            return _table(ring, (((), (q, q)) for q in range(n)))
         if k == "cap":
-            return _delta_column(ring, n).transpose()
-        if k == "swap":
-            return _perm_swap(ring, n)
+            return _table(ring, (((q, q), ()) for q in range(n)))
         if k == "birth":
             members = endpoint_members(
                 g, nfa.initial if g.sign == "+" else nfa.accepting
             )
-            return _indicator_column(ring, states, members)
+            return _table(ring, (((), (idx[q],)) for q in members))
         if k == "death":
             members = endpoint_members(
                 g, nfa.accepting if g.sign == "+" else nfa.initial
             )
-            return _indicator_column(ring, states, members).transpose()
+            return _table(ring, (((idx[q],), ()) for q in members))
         raise ValueError(
             f"{k} needs a topological state space; convert the automaton"
             " to a discrete-space T-automaton first"
         )
 
-    return _run(diagram, ring, n, lambda s: identity(ring, n), image)
+    return _run(diagram, ring, n, lambda sign: None, image)
 
 
 def eval_interval(nfa: Nfa, w) -> bool:
@@ -169,91 +234,80 @@ def eval_tautomaton(taut: TAutomaton, diagram: Diagram) -> Evaluation:
     space = taut.space
     pts = space.points
     n = len(pts)
-    U = space.min_open
+    ix = {p: i for i, p in enumerate(pts)}
+    # up[x]: the points of U_x; down[x]: the points of the closure of x
+    up = [frozenset(ix[y] for y in space.min_open[p]) for p in pts]
+    down = [frozenset(y for y in range(n) if x in up[y]) for x in range(n)]
+    every = range(n)
 
-    def grid(pred):
-        return Mat(
-            BOOL, n, n,
-            tuple(BOOL.one if pred(y, x) else BOOL.zero for y in pts for x in pts),
-        )
+    def indices(members):
+        return [ix[p] for p in members]
 
-    e_plus = grid(lambda y, x: y in U[x])
-    e_minus = e_plus.transpose()
+    def wire(sign) -> dict:
+        nbrs = up if sign == "+" else down
+        return _table(BOOL, (((x,), (y,)) for x in every for y in nbrs[x]))
 
-    def wire(sign) -> Mat:
-        return e_plus if sign == "+" else e_minus
+    def point(label) -> int:
+        if label not in ix:
+            raise KeyError(f"unknown point {label!r}")
+        return ix[label]
 
-    def pair_column(pred) -> Mat:
-        ent = tuple(
-            BOOL.one if pred(u, v) else BOOL.zero for u in pts for v in pts
-        )
-        return Mat(BOOL, n * n, 1, ent)
-
-    def image(g: Gen) -> Mat:
+    def image(g: Gen) -> dict:
         k = g.kind
-        if k == "id":
-            return wire(g.sign)
         if k == "dot":
-            t = taut.letter(g.letter)
-            m = grid(lambda y, x: y in t.image[x])
-            return m if g.sign == "+" else m.transpose()
+            img = [indices(taut.letter(g.letter).image[p]) for p in pts]
+            if g.sign == "+":
+                return _table(BOOL, (((x,), (y,)) for x in every for y in img[x]))
+            return _table(BOOL, (((y,), (x,)) for x in every for y in img[x]))
         if k == "cup":
             if g.sign == "+":
-                return pair_column(lambda u, v: u in U[v])
-            return pair_column(lambda v, u: u in U[v])
+                return _table(BOOL, (((), (u, v)) for v in every for u in up[v]))
+            return _table(BOOL, (((), (u, v)) for u in every for v in up[u]))
         if k == "cap":
-            if g.sign == "-":
-                return pair_column(lambda v, u: v in U[u]).transpose()
-            return pair_column(lambda u, v: v in U[u]).transpose()
-        if k == "swap":
-            return _perm_swap(BOOL, n) @ kron(wire(g.sign), wire(g.sign2))
+            if g.sign == "+":
+                return _table(BOOL, (((u, v), ()) for u in every for v in up[u]))
+            return _table(BOOL, (((u, v), ()) for v in every for u in up[v]))
         if k == "birth":
             if g.label is not None:
-                if g.label not in U:
-                    raise KeyError(f"unknown point {g.label!r}")
-                return _indicator_column(BOOL, pts, U[g.label])
-            members = taut.initial_open if g.sign == "+" else taut.accepting_closed
-            return _indicator_column(BOOL, pts, members)
+                members = up[point(g.label)]
+            else:
+                members = indices(
+                    taut.initial_open if g.sign == "+" else taut.accepting_closed
+                )
+            return _table(BOOL, (((), (x,)) for x in members))
         if k == "death":
             if g.label is not None:
-                y = g.label
-                if y not in U:
-                    raise KeyError(f"unknown point {y!r}")
-                return Mat(
-                    BOOL, 1, n,
-                    tuple(BOOL.one if y in U[u] else BOOL.zero for u in pts),
-                )
-            if g.sign == "+":
-                acc = taut.accepting_closed
-                return Mat(
-                    BOOL, 1, n,
-                    tuple(BOOL.one if acc & U[x] else BOOL.zero for x in pts),
-                )
-            ini = taut.initial_open
-            return Mat(
-                BOOL, 1, n,
-                tuple(BOOL.one if space.closure_of(v) & ini else BOOL.zero for v in pts),
-            )
+                members = down[point(g.label)]
+            elif g.sign == "+":
+                acc = set(indices(taut.accepting_closed))
+                members = [x for x in every if acc & up[x]]
+            else:
+                ini = set(indices(taut.initial_open))
+                members = [v for v in every if ini & down[v]]
+            return _table(BOOL, (((x,), ()) for x in members))
         if k == "merge":
-            ent = tuple(
-                BOOL.one if z in (U[x] & U[y]) else BOOL.zero
-                for z in pts
-                for x in pts
-                for y in pts
+            return _table(
+                BOOL,
+                (
+                    ((x, y), (z,))
+                    for x in every
+                    for y in every
+                    for z in up[x] & up[y]
+                ),
             )
-            return Mat(BOOL, n, n * n, ent)
         if k == "split":
-            ent = tuple(
-                BOOL.one if any(u in U[z] and v in U[z] for z in U[x]) else BOOL.zero
-                for u in pts
-                for v in pts
-                for x in pts
+            return _table(
+                BOOL,
+                (
+                    ((x,), pair)
+                    for x in every
+                    for pair in {(u, v) for z in up[x] for u in up[z] for v in up[z]}
+                ),
             )
-            return Mat(BOOL, n * n, n, ent)
         if k == "unit":
-            return Mat(BOOL, n, 1, (BOOL.one,) * n)
+            return _table(BOOL, (((), (x,)) for x in every))
         if k == "counit":
-            return Mat(BOOL, 1, n, (BOOL.one,) * n)
+            return _table(BOOL, (((x,), ()) for x in every))
         raise ValueError(f"unknown generator kind {k!r}")
 
     return _run(diagram, BOOL, n, wire, image)

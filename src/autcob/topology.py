@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .automaton import Nfa, as_word
+from .automaton import Nfa, as_word, json_list
 from .errors import CapacityError
 
 OPENS_CAP = 1 << 16
@@ -129,11 +129,22 @@ class FinTop:
     @classmethod
     def from_json_dict(cls, data: dict) -> FinTop:
         _expect_keys(data, _FINTOP_KEYS, "space")
-        return cls.make(data["points"], data["min_open"])
+        return cls.make(
+            json_list(data, "points"), _json_sets(data["min_open"], "'min_open'")
+        )
 
     @classmethod
     def from_json(cls, text: str) -> FinTop:
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_sets(value, what) -> dict:
+    """``value`` when it is a JSON object of lists of strings."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object of lists of strings")
+    for k in value:
+        json_list(value, k)
+    return value
 
 
 def _expect_keys(data, keys, what):
@@ -421,13 +432,16 @@ class TAutomaton:
     @classmethod
     def from_json_dict(cls, data: dict) -> TAutomaton:
         _expect_keys(data, _TAUT_KEYS, "T-automaton")
-        space = FinTop.make(data["points"], data["min_open"])
+        space = FinTop.from_json_dict({k: data[k] for k in _FINTOP_KEYS})
+        letters = data["letters"]
+        if not isinstance(letters, dict):
+            raise ValueError("'letters' must be an object")
         return cls.make(
             space,
-            list(data["letters"]),
-            data["initial_open"],
-            data["accepting_closed"],
-            data["letters"],
+            list(letters),
+            json_list(data, "initial_open"),
+            json_list(data, "accepting_closed"),
+            {a: _json_sets(t, f"image of letter {a!r}") for a, t in letters.items()},
         )
 
     @classmethod

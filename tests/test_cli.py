@@ -174,6 +174,35 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def _member_exit_code(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "member", "--automaton", str(path), "--word", "a")[0]
+
+
+def test_string_valued_automaton_field_is_input_error(tmp_path, capsys):
+    data = json.loads(Path(A2_PATH).read_text())
+    for key in ("states", "alphabet", "initial", "accepting"):
+        bad = {**data, key: "".join(data[key])}
+        assert _member_exit_code(tmp_path, capsys, bad) == 2, key
+
+
+def test_transition_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    data = {"states": ["q"], "alphabet": ["a"], "transitions": [1],
+            "initial": ["q"], "accepting": ["q"]}
+    assert _member_exit_code(tmp_path, capsys, data) == 2
+
+
+def test_letter_image_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    data = json.loads(Path(TAUT_PATH).read_text())
+    data["letters"]["g"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "t-member", "--tautomaton", str(path), "--word", "g")
+    assert code == 2
+    assert "letter 'g'" in err
+
+
 def test_exit_code_type_error(tmp_path, capsys):
     d = tmp_path / "bad.txt"
     d.write_text("cup+ ; id- id+\n")

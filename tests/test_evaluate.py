@@ -26,8 +26,15 @@ from autcob.diagrams import (
     swap,
     tensor,
 )
+from autcob import evaluate
 from autcob.errors import CapacityError
-from autcob.evaluate import eval_circle, eval_interval, eval_nfa, eval_tautomaton
+from autcob.evaluate import (
+    MAX_DIM_PRODUCT,
+    eval_circle,
+    eval_interval,
+    eval_nfa,
+    eval_tautomaton,
+)
 from autcob.automaton import Nfa
 from autcob.semiring import BOOL, NAT, identity, kron
 from autcob.topology import FinTop, TAutomaton, discrete, minimal_spaces
@@ -35,6 +42,8 @@ from util import (
     A2,
     SIERPINSKI as S2,
     all_words,
+    dense_eval_nfa,
+    dense_eval_tautomaton,
     random_closed_diagram,
     random_diagram,
     random_nfa,
@@ -97,6 +106,45 @@ def test_floating_interval_needs_overlap():
     assert eval_tautomaton(t, d).scalar() == 0
     t2 = TAutomaton.make(S2, (), {"x", "y"}, {"y"}, {})
     assert eval_tautomaton(t2, d).scalar() == 1
+
+
+# -- wire-local contraction against dense layers ------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_contraction_matches_dense_layers_on_automata(seed):
+    rng = random.Random(seed)
+    nfa = random_nfa(rng, max_states=4)
+    d = random_diagram(rng, letters=nfa.alphabet, max_width=3, labels=nfa.states)
+    for ring in (BOOL, NAT):
+        assert eval_nfa(nfa, d, ring).matrix == dense_eval_nfa(nfa, d, ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_contraction_matches_dense_layers_on_tautomata(seed):
+    rng = random.Random(seed)
+    taut = random_tautomaton(rng, max_points=4)
+    d = random_diagram(
+        rng, letters=taut.alphabet, max_width=3, foam=True, labels=taut.space.points
+    )
+    assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
+
+
+def test_two_side_by_side_circles_on_twelve_states():
+    # a turns a 12-cycle one step; b jumps back three steps or stays at q0
+    states = [f"q{i}" for i in range(12)]
+    delta = [(states[i], "a", states[(i + 1) % 12]) for i in range(12)]
+    delta += [(states[i], "b", states[i - 3]) for i in range(12)]
+    nfa = Nfa.make(states, ["a", "b"], delta + [("q0", "b", "q0")], [], [])
+    wants = set()
+    for u, v in [("aaab", "b"), ("ab", "b"), ("aab", "aaab"), ("a", "ba")]:
+        d = tensor(circle_diagram(u), circle_diagram(v))
+        want = nfa.trace_eval(u) and nfa.trace_eval(v)
+        assert eval_nfa(nfa, d).scalar() == int(want)
+        wants.add(want)
+    assert wants == {True, False}
 
 
 # -- functor laws ----------------------------------------------------------------
@@ -361,3 +409,29 @@ def test_width_guard():
     d = identity_diagram(("+",) * 4)
     with pytest.raises(CapacityError):
         eval_nfa(wide, d)
+
+
+def test_guard_bounds_the_result_before_evaluating(monkeypatch):
+    # 8^6 domain columns fit under the cap, the 8^12-entry result does not
+    eight = Nfa.make([f"q{i}" for i in range(8)], ["a"], [], [], [])
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the guard")
+
+    # the running tensor is enumerated from the domain basis first
+    monkeypatch.setattr(evaluate, "product", no_allocation)
+    with pytest.raises(CapacityError) as err:
+        eval_nfa(eight, identity_diagram(("+",) * 6))
+    assert str(8**12) in str(err.value)
+    assert str(MAX_DIM_PRODUCT) in str(err.value)
+
+
+def test_guard_bounds_the_widest_boundary():
+    # domain and codomain are one wire; the middle holds four
+    four = Nfa.make([f"q{i}" for i in range(16)], ["a"], [], [], [])
+    d = Diagram.make(
+        [[ident("+"), cup("+"), cup("+")], [ident("+"), cap("+"), cap("+")]],
+        domain=("+",),
+    )
+    with pytest.raises(CapacityError, match=str(16**6)):
+        eval_nfa(four, d)

@@ -18,6 +18,7 @@ from autcob.diagrams import (
     ident,
     swap,
 )
+from autcob.semiring import BOOL, Mat, identity, kron
 from autcob.topology import Endo, FinTop, TAutomaton, space_from_preorder
 
 # Two-state machine: a flips the states, b loops at the accepting one.
@@ -212,3 +213,126 @@ def random_closed_diagram(
         slices.append(slc)
         boundary = tuple(s for g in slc for s in g.outputs())
     return Diagram.make(slices, ())
+
+
+# -- dense reference evaluator --------------------------------------------------
+#
+# Evaluation as a product of whole-boundary layers: every slice is the
+# Kronecker product of its generators' dense images, multiplied into the
+# running matrix.  Slow and memory-hungry, but written straight from the
+# Kronecker convention, so the wire-local evaluator is checked against it.
+
+
+def _dense(ring, basis, k_out, k_in, pred) -> Mat:
+    """Rows index output tuples, columns input tuples, row-major."""
+    outs = list(itertools.product(basis, repeat=k_out))
+    ins = list(itertools.product(basis, repeat=k_in))
+    return Mat(
+        ring, len(outs), len(ins),
+        tuple(ring.one if pred(o, i) else ring.zero for o in outs for i in ins),
+    )
+
+
+def _dense_run(ring, basis, diagram, image):
+    dom, _ = diagram.typecheck()
+    if not diagram.slices:
+        mat = identity(ring, 1)
+        for s in dom:
+            mat = kron(mat, image(ident(s)))
+        return mat
+    mat = None
+    for slc in diagram.slices:
+        layer = identity(ring, 1)
+        for g in slc:
+            if g.kind == "swap":
+                perm = _dense(ring, basis, 2, 2, lambda o, i: o == (i[1], i[0]))
+                g_mat = perm @ kron(image(ident(g.sign)), image(ident(g.sign2)))
+            else:
+                g_mat = image(g)
+            layer = kron(layer, g_mat)
+        mat = layer if mat is None else layer @ mat
+    return mat
+
+
+def dense_eval_nfa(nfa, diagram, ring=BOOL) -> Mat:
+    """eval_nfa(nfa, diagram, ring).matrix, by dense layers."""
+    states = nfa.states
+
+    def d(k_out, k_in, pred):
+        return _dense(ring, states, k_out, k_in, pred)
+
+    def image(g):
+        k = g.kind
+        if k == "id":
+            return identity(ring, len(states))
+        if k == "dot":
+            m = nfa.letter_matrix(g.letter, ring)
+            return m.transpose() if g.sign == "+" else m
+        if k == "cup":
+            return d(2, 0, lambda o, i: o[0] == o[1])
+        if k == "cap":
+            return d(0, 2, lambda o, i: i[0] == i[1])
+        if k in ("birth", "death"):
+            if g.label is not None:
+                members = {g.label}
+            elif (k == "birth") == (g.sign == "+"):
+                members = nfa.initial
+            else:
+                members = nfa.accepting
+            if k == "birth":
+                return d(1, 0, lambda o, i: o[0] in members)
+            return d(0, 1, lambda o, i: i[0] in members)
+        raise ValueError(f"{k} is not an automaton generator")
+
+    return _dense_run(ring, states, diagram, image)
+
+
+def dense_eval_tautomaton(taut, diagram) -> Mat:
+    """eval_tautomaton(taut, diagram).matrix, by dense layers: every identity
+    wire is the idempotent E."""
+    space = taut.space
+    U = space.min_open
+
+    def d(k_out, k_in, pred):
+        return _dense(BOOL, space.points, k_out, k_in, pred)
+
+    def image(g):
+        k, s = g.kind, g.sign
+        if k == "id":
+            if s == "+":
+                return d(1, 1, lambda o, i: o[0] in U[i[0]])
+            return d(1, 1, lambda o, i: i[0] in U[o[0]])
+        if k == "dot":
+            t = taut.letter(g.letter).image
+            if s == "+":
+                return d(1, 1, lambda o, i: o[0] in t[i[0]])
+            return d(1, 1, lambda o, i: i[0] in t[o[0]])
+        if k == "cup":
+            if s == "+":
+                return d(2, 0, lambda o, i: o[0] in U[o[1]])
+            return d(2, 0, lambda o, i: o[1] in U[o[0]])
+        if k == "cap":
+            if s == "+":
+                return d(0, 2, lambda o, i: i[1] in U[i[0]])
+            return d(0, 2, lambda o, i: i[0] in U[i[1]])
+        if k == "birth":
+            if g.label is not None:
+                members = U[g.label]
+            else:
+                members = taut.initial_open if s == "+" else taut.accepting_closed
+            return d(1, 0, lambda o, i: o[0] in members)
+        if k == "death":
+            if g.label is not None:
+                return d(0, 1, lambda o, i: g.label in U[i[0]])
+            if s == "+":
+                return d(0, 1, lambda o, i: taut.accepting_closed & U[i[0]])
+            return d(0, 1, lambda o, i: taut.initial_open & space.closure_of(i[0]))
+        if k == "merge":
+            return d(1, 2, lambda o, i: o[0] in U[i[0]] & U[i[1]])
+        if k == "split":
+            return d(2, 1, lambda o, i: any(set(o) <= U[z] for z in U[i[0]]))
+        if k == "unit":
+            return d(1, 0, lambda o, i: True)
+        return d(0, 1, lambda o, i: True)  # counit
+
+    return _dense_run(BOOL, space.points, diagram, image)
