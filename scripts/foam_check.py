@@ -2,9 +2,9 @@
 """Exhaustive foam-law check over small open-set lattices.
 
 Enumerates every minimal finite space up to a given point count (one per
-homeomorphism class), evaluates the algebra, coalgebra, duality and
-split-merge diagrams on each, and samples random closed foams, which must
-all evaluate to 1.  Usage: foam_check.py [max_points] [foams_per_space]
+homeomorphism class), evaluates both sides of every law in the foam-law
+table of tests/util.py (algebra, coalgebra, split-merge and duality) on
+each, and samples random closed foams, which must all evaluate to 1.  Usage: foam_check.py [max_points] [foams_per_space]
 """
 
 import random
@@ -13,65 +13,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from autcob import (  # noqa: E402
-    Diagram,
-    TAutomaton,
-    eval_tautomaton,
-    identity_diagram,
-    merge_on_minus,
-    minimal_spaces,
-    split_on_minus,
-)
-from autcob.diagrams import COUNIT, MERGE, SPLIT, UNIT, ident, swap  # noqa: E402
+from autcob import TAutomaton, eval_tautomaton, minimal_spaces  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from util import random_closed_diagram  # noqa: E402
+from util import FOAM_DUALITY, FOAM_LAWS, random_closed_diagram  # noqa: E402
 
 
 def ev(space, diagram):
     return eval_tautomaton(TAutomaton.bare(space), diagram).matrix
 
 
-LAWS = {
-    "associativity": (
-        Diagram.make([[MERGE, ident("+")], [MERGE]], domain=("+", "+", "+")),
-        Diagram.make([[ident("+"), MERGE], [MERGE]], domain=("+", "+", "+")),
-    ),
-    "commutativity": (
-        Diagram.make([[swap("+", "+")], [MERGE]], domain=("+", "+")),
-        Diagram.make([[MERGE]], domain=("+", "+")),
-    ),
-    "unit": (
-        Diagram.make([[UNIT, ident("+")], [MERGE]], domain=("+",)),
-        identity_diagram(("+",)),
-    ),
-    "coassociativity": (
-        Diagram.make([[SPLIT], [SPLIT, ident("+")]], domain=("+",)),
-        Diagram.make([[SPLIT], [ident("+"), SPLIT]], domain=("+",)),
-    ),
-    "counit": (
-        Diagram.make([[SPLIT], [COUNIT, ident("+")]], domain=("+",)),
-        identity_diagram(("+",)),
-    ),
-    "split-merge": (
-        Diagram.make([[SPLIT], [MERGE]], domain=("+",)),
-        identity_diagram(("+",)),
-    ),
-}
-
-
 def main(max_points=4, foams_per_space=10):
     rng = random.Random(0)
     spaces = [s for n in range(1, max_points + 1) for s in minimal_spaces(n)]
     print(f"{len(spaces)} spaces with at most {max_points} points")
-    for name, (lhs, rhs) in LAWS.items():
-        bad = [s for s in spaces if ev(s, lhs) != ev(s, rhs)]
+    for name, pairs in FOAM_LAWS.items():
+        bad = [s for s in spaces if any(ev(s, l) != ev(s, r) for l, r in pairs)]
         print(f"  {name:16s} {'ok' if not bad else f'FAILS on {len(bad)} spaces'}")
     bad = [
-        s
-        for s in spaces
-        if ev(s, merge_on_minus()) != ev(s.dual(), Diagram.make([[MERGE]]))
-        or ev(s, split_on_minus()) != ev(s.dual(), Diagram.make([[SPLIT]]))
+        s for s in spaces if any(ev(s, l) != ev(s.dual(), r) for l, r in FOAM_DUALITY)
     ]
     print(f"  {'duality':16s} {'ok' if not bad else f'FAILS on {len(bad)} spaces'}")
     closed_ok = 0

@@ -127,6 +127,17 @@ class Nfa:
             table.setdefault((q, a), set()).add(r)
         return {k: frozenset(v) for k, v in table.items()}
 
+    @cached_property
+    def _edges(self) -> tuple:
+        """(out-edges, in-edges): each maps a state to the (letter, other
+        end) pairs of the transitions leaving, or entering, it."""
+        out = {q: [] for q in self.states}
+        into = {q: [] for q in self.states}
+        for q, a, r in self.delta:
+            out[q].append((a, r))
+            into[r].append((a, q))
+        return out, into
+
     def successors(self, sources: Iterable, a) -> frozenset:
         if a not in self.alphabet:
             raise KeyError(f"unknown letter {a!r}")
@@ -153,8 +164,8 @@ class Nfa:
         n = len(self.states)
         ent = [ring.zero] * (n * n)
         idx = self._index
-        for q, b, r in self.delta:
-            if b == a:
+        for q in self.states:
+            for r in self._succ.get((q, a), ()):
                 ent[idx[q] * n + idx[r]] = ring.one
         return Mat(ring, n, n, tuple(ent))
 
@@ -243,10 +254,13 @@ class Nfa:
 
         Both evaluations are preserved on every word.
         """
-        fwd = self._reach(self.initial)
-        bwd = self._coreach(self.accepting)
-        on_path = fwd & bwd
-        on_loop = {q for q in self.states if q in self._reach(self._out(q))}
+        out, into = self._edges
+        on_path = self._reach(self.initial, out) & self._reach(self.accepting, into)
+        on_loop = {
+            q
+            for q in self.states
+            if q not in on_path and q in self._reach((r for _, r in out[q]), out)
+        }
         core = on_path | on_loop
         if not core and self.states:
             # a nonempty automaton always traces the empty word, the empty
@@ -261,29 +275,17 @@ class Nfa:
             self.accepting & core,
         )
 
-    def _out(self, q) -> set:
-        return {r for p, _, r in self.delta if p == q}
-
-    def _reach(self, seeds: Iterable) -> set:
+    @staticmethod
+    def _reach(seeds: Iterable, edges: dict) -> set:
+        """The seeds and every state reached from them along ``edges``, one
+        half of ``_edges``."""
         seen = set(seeds)
         todo = list(seen)
         while todo:
-            q = todo.pop()
-            for p, _, r in self.delta:
-                if p == q and r not in seen:
+            for _, r in edges[todo.pop()]:
+                if r not in seen:
                     seen.add(r)
                     todo.append(r)
-        return seen
-
-    def _coreach(self, seeds: Iterable) -> set:
-        seen = set(seeds)
-        todo = list(seen)
-        while todo:
-            q = todo.pop()
-            for p, _, r in self.delta:
-                if r == q and p not in seen:
-                    seen.add(p)
-                    todo.append(p)
         return seen
 
     # -- JSON --------------------------------------------------------------

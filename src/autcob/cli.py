@@ -106,19 +106,24 @@ def _cmd_cover_cyclic(args) -> int:
 
 def _cmd_cover_voltage(args) -> int:
     nfa = _load_nfa(args.automaton)
-    spec = json.loads(_read(args.voltages)) if args.voltages else {"assignments": []}
-    extra = set(spec) - {"assignments"}
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)}")
+    spec = json.loads(_read(args.voltages)) if args.voltages else {}
+    if not isinstance(spec, dict) or set(spec) - {"assignments"}:
+        raise ValueError("voltage file must be an object with the key 'assignments'")
+    assignments = spec.get("assignments", [])
+    if not isinstance(assignments, list):
+        raise ValueError("'assignments' must be a list")
     # unlisted transitions get the identity permutation
     voltages = {e: tuple(range(args.n)) for e in nfa.delta}
-    for item in spec.get("assignments", []):
-        if set(item) != {"from", "letter", "to", "perm"}:
+    for item in assignments:
+        if not isinstance(item, dict) or set(item) != {"from", "letter", "to", "perm"}:
             raise ValueError("assignment needs keys from/letter/to/perm")
         edge = (item["from"], item["letter"], item["to"])
-        if edge not in nfa.delta:
+        if not all(isinstance(v, str) for v in edge) or edge not in nfa.delta:
             raise ValueError(f"assignment for unknown transition {edge}")
-        voltages[edge] = tuple(item["perm"])
+        perm = item["perm"]
+        if not isinstance(perm, list) or not all(isinstance(k, int) for k in perm):
+            raise ValueError(f"'perm' must be a list of integers, got {perm!r}")
+        voltages[edge] = tuple(perm)
     _write_automaton(voltage_cover(nfa, args.n, voltages), args.out)
     return 0
 
@@ -127,10 +132,12 @@ def _cmd_cover_check(args) -> int:
     cover = _load_nfa(args.cover)
     base = _load_nfa(args.base)
     data = json.loads(_read(args.map))
-    extra = set(data) - {"vertices"}
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)}")
-    p = GraphMap.from_vertex_map(cover, base, data["vertices"])
+    if not isinstance(data, dict) or set(data) != {"vertices"}:
+        raise ValueError("map file must be an object with the one key 'vertices'")
+    vm = data["vertices"]
+    if not isinstance(vm, dict) or not all(isinstance(q, str) for q in vm.values()):
+        raise ValueError("'vertices' must be an object from cover to base states")
+    p = GraphMap.from_vertex_map(cover, base, vm)
     check = is_weak_covering if args.weak else is_covering
     print(int(check(p, cover, base)))
     return 0

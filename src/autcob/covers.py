@@ -124,15 +124,11 @@ def is_weak_covering(p: GraphMap, cover: Nfa, base: Nfa) -> bool:
     if not _structure_ok(p, cover, base):
         return False
     vm = p.vertex_map
-    for q1, a, q2 in base.delta:
-        for q1p in (q for q in cover.states if vm[q] == q1):
-            if not any(
-                (q1p, a, q2p) in cover.delta
-                for q2p in cover.states
-                if vm[q2p] == q2
-            ):
-                return False
-    return True
+    out, base_out = cover._edges[0], base._edges[0]
+    return all(
+        set(base_out[vm[q]]) <= {(a, vm[r]) for a, r in out[q]}
+        for q in cover.states
+    )
 
 
 def is_covering(p: GraphMap, cover: Nfa, base: Nfa) -> bool:
@@ -141,11 +137,11 @@ def is_covering(p: GraphMap, cover: Nfa, base: Nfa) -> bool:
     if not _structure_ok(p, cover, base):
         return False
     vm = p.vertex_map
-    for q in cover.states:
-        for pick in (lambda e, s: e[0] == s, lambda e, s: e[2] == s):
-            local = [e for e in cover.delta if pick(e, q)]
-            local_base = {e for e in base.delta if pick(e, vm[q])}
-            images = [p.edge_map[e] for e in local]
-            if len(images) != len(set(images)) or set(images) != local_base:
+    # the structure checks make vm carry each edge to its image
+    for local, local_base in zip(cover._edges, base._edges):
+        for q in cover.states:
+            images = [(a, vm[r]) for a, r in local[q]]
+            expected = set(local_base[vm[q]])
+            if len(images) != len(set(images)) or set(images) != expected:
                 return False
     return True

@@ -20,22 +20,29 @@ basis tuple on its inputs to (output tuple, value) pairs, identity wires
 pass their index through, and a swap exchanges two indices.  The dense
 matrix is built once, at the end.
 
-For an automaton every wire carries the free module on the states.  For a
-T-automaton every wire carries the ambient free module on the points,
+Every wire carries one module model: the free module on a finite basis
+(states or points) with a minimal open set U_x around each basis element,
 cut down by the idempotent E with E[y][x] = 1 iff y lies in U_x (and its
-transpose on '-' wires), and the identity wire itself evaluates to E.
-Every generator image is balanced by these idempotents (E' G E = G), so E
-is applied once, to the domain wires, and identity wires and swaps stay
-pure index operations.
+transpose on '-' wires).  The identity wire evaluates to E, and
+``_model`` writes every other generator image once, in terms of U.  Each
+image is balanced by these idempotents (E' G E = G), so E is applied
+once, to the domain wires, and identity wires and swaps stay pure index
+operations.
+
+The model has two instances.  An automaton is the discrete one,
+U_q = {q}, over any semiring: E is the identity and is never applied, and
+foam vertices are refused.  A T-automaton takes U_x from its space, over
+BOOL; on a discrete space it is the automaton's model again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .automaton import Nfa, as_word
-from .diagrams import Diagram, Gen, circle_diagram, interval_diagram
+from .diagrams import _FOAM, Diagram, Gen, circle_diagram, interval_diagram
 from .errors import CapacityError
 from .semiring import BOOL, Mat, Semiring
 from .topology import TAutomaton
@@ -125,8 +132,9 @@ def _apply(ring, tensor, pos, width, table) -> dict:
 
 
 def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluation:
-    """``wire(sign)`` is the table of an identity wire, or None when it is
-    the identity; ``gen_image(g)`` is the table of any other generator."""
+    """``wire`` maps each sign to the table of its identity wire, or is None
+    when every identity wire is the identity; ``gen_image(g)`` is the table
+    of any other generator."""
     dom, cod = diagram.typecheck()
     widest = max(
         [len(dom)] + [sum(len(g.outputs()) for g in slc) for slc in diagram.slices]
@@ -137,17 +145,10 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
         d + (col,): ring.one
         for col, d in enumerate(product(range(n), repeat=len(dom)))
     }
-    for pos, sign in enumerate(dom):
-        table = wire(sign)
-        if table is not None:
-            tensor = _apply(ring, tensor, pos, 1, table)
-    cache = {}
-
-    def image(g: Gen):
-        if g not in cache:
-            cache[g] = gen_image(g)
-        return cache[g]
-
+    if wire is not None:
+        for pos, sign in enumerate(dom):
+            tensor = _apply(ring, tensor, pos, 1, wire[sign])
+    image = cache(gen_image)
     for slc in diagram.slices:
         for pos, width, table in _steps(slc, image):
             tensor = _apply(ring, tensor, pos, width, table)
@@ -161,55 +162,116 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
     return Evaluation(Mat(ring, rows, cols, tuple(ent)))
 
 
+def _model(ring, up, letters, initial, accepting, index):
+    """The module model of a state space with basis 0..n-1.
+
+    ``up[x]`` is the set of basis indices in U_x; ``letters[a][x]`` lists
+    the image of x under the letter a; ``initial`` and ``accepting`` list
+    the indices of the initial open and the accepting closed set; ``index``
+    maps an endpoint label to its basis index.  Returns ``(wire, image)``
+    as ``_run`` takes them: ``wire`` is None exactly when every U_x is
+    {x}."""
+    n = len(up)
+    every = range(n)
+    # down[x]: the points of the closure of x
+    down = [[] for _ in every]
+    for x in every:
+        for y in up[x]:
+            down[y].append(x)
+    wire = None
+    if any(len(u) > 1 for u in up):
+        wire = {
+            "+": _table(ring, (((x,), (y,)) for x in every for y in up[x])),
+            "-": _table(ring, (((x,), (y,)) for x in every for y in down[x])),
+        }
+
+    def labelled(g: Gen, around):
+        if g.label not in index:
+            raise KeyError(f"unknown endpoint label {g.label!r}")
+        return around[index[g.label]]
+
+    def image(g: Gen) -> dict:
+        k, plus = g.kind, g.sign == "+"
+        if k == "dot":
+            arrows = [((x,), (y,)) for x in every for y in letters[g.letter][x]]
+            return _table(ring, arrows if plus else ((o, i) for i, o in arrows))
+        if k in ("cup", "cap"):
+            # the pairs (u, v) with u in U_v; a '-' cup and a '+' cap read
+            # them the other way round
+            pairs = [(u, v) for v in every for u in up[v]]
+            if (k == "cap") == plus:
+                pairs = [(v, u) for u, v in pairs]
+            return _table(ring, (((), p) if k == "cup" else (p, ()) for p in pairs))
+        if k == "birth":
+            if g.label is not None:
+                members = labelled(g, up)
+            else:
+                members = initial if plus else accepting
+            return _table(ring, (((), (x,)) for x in members))
+        if k == "death":
+            if g.label is not None:
+                members = labelled(g, down)
+            else:
+                # x is retired when U_x meets the accepting set ('+'), or
+                # when the closure of x meets the initial set ('-')
+                near = up if plus else down
+                ends = set(accepting if plus else initial)
+                members = [x for x in every if not ends.isdisjoint(near[x])]
+            return _table(ring, (((x,), ()) for x in members))
+        if k == "merge":
+            return _table(
+                ring,
+                (
+                    ((x, y), (z,))
+                    for x in every
+                    for y in every
+                    for z in up[x] & up[y]
+                ),
+            )
+        if k == "split":
+            return _table(
+                ring,
+                (
+                    ((x,), pair)
+                    for x in every
+                    for pair in {(u, v) for z in up[x] for u in up[z] for v in up[z]}
+                ),
+            )
+        if k == "unit":
+            return _table(ring, (((), (x,)) for x in every))
+        if k == "counit":
+            return _table(ring, (((x,), ()) for x in every))
+        raise ValueError(f"unknown generator kind {k!r}")
+
+    return wire, image
+
+
 # -- free modules (automata) --------------------------------------------------
 
 
 def eval_nfa(nfa: Nfa, diagram: Diagram, ring: Semiring = BOOL) -> Evaluation:
-    """Evaluate a defect diagram in the free module on the states."""
+    """Evaluate a defect diagram in the free module on the states: the
+    module model with U_q = {q}, over any semiring."""
     unknown = diagram.letters() - set(nfa.alphabet)
     if unknown:
         raise KeyError(f"unknown letters {sorted(unknown)}")
-    n = len(nfa.states)
-    idx = nfa._index
-
-    def endpoint_members(g: Gen, plain):
-        if g.label is None:
-            return plain
-        if g.label not in idx:
-            raise KeyError(f"unknown state {g.label!r}")
-        return {g.label}
-
-    def image(g: Gen) -> dict:
-        k = g.kind
-        if k == "dot":
-            edges = [
-                (idx[q], idx[r])
-                for q in nfa.states
-                for r in nfa._succ.get((q, g.letter), ())
-            ]
-            if g.sign == "-":
-                edges = [(r, q) for q, r in edges]
-            return _table(ring, (((q,), (r,)) for q, r in edges))
-        if k == "cup":
-            return _table(ring, (((), (q, q)) for q in range(n)))
-        if k == "cap":
-            return _table(ring, (((q, q), ()) for q in range(n)))
-        if k == "birth":
-            members = endpoint_members(
-                g, nfa.initial if g.sign == "+" else nfa.accepting
-            )
-            return _table(ring, (((), (idx[q],)) for q in members))
-        if k == "death":
-            members = endpoint_members(
-                g, nfa.accepting if g.sign == "+" else nfa.initial
-            )
-            return _table(ring, (((idx[q],), ()) for q in members))
+    foam = {g.kind for slc in diagram.slices for g in slc} & _FOAM
+    if foam:
         raise ValueError(
-            f"{k} needs a topological state space; convert the automaton"
-            " to a discrete-space T-automaton first"
+            f"{min(foam)} needs a topological state space; convert the"
+            " automaton to a discrete-space T-automaton first"
         )
-
-    return _run(diagram, ring, n, lambda sign: None, image)
+    idx = nfa._index
+    succ = nfa._succ
+    letters = {
+        a: [[idx[r] for r in succ.get((q, a), ())] for q in nfa.states]
+        for a in diagram.letters()
+    }
+    up = [frozenset((x,)) for x in range(len(nfa.states))]
+    initial = [idx[q] for q in nfa.initial]
+    accepting = [idx[q] for q in nfa.accepting]
+    model = _model(ring, up, letters, initial, accepting, idx)
+    return _run(diagram, ring, len(up), *model)
 
 
 def eval_interval(nfa: Nfa, w) -> bool:
@@ -227,87 +289,19 @@ def eval_circle(nfa: Nfa, w) -> bool:
 
 def eval_tautomaton(taut: TAutomaton, diagram: Diagram) -> Evaluation:
     """Evaluate a diagram, foam vertices included, in the ambient free
-    module on the points of the space."""
+    module on the points of the space: the module model with the minimal
+    open sets of the space, over BOOL."""
     unknown = diagram.letters() - set(taut.alphabet)
     if unknown:
         raise KeyError(f"unknown letters {sorted(unknown)}")
     space = taut.space
-    pts = space.points
-    n = len(pts)
-    ix = {p: i for i, p in enumerate(pts)}
-    # up[x]: the points of U_x; down[x]: the points of the closure of x
-    up = [frozenset(ix[y] for y in space.min_open[p]) for p in pts]
-    down = [frozenset(y for y in range(n) if x in up[y]) for x in range(n)]
-    every = range(n)
-
-    def indices(members):
-        return [ix[p] for p in members]
-
-    def wire(sign) -> dict:
-        nbrs = up if sign == "+" else down
-        return _table(BOOL, (((x,), (y,)) for x in every for y in nbrs[x]))
-
-    def point(label) -> int:
-        if label not in ix:
-            raise KeyError(f"unknown point {label!r}")
-        return ix[label]
-
-    def image(g: Gen) -> dict:
-        k = g.kind
-        if k == "dot":
-            img = [indices(taut.letter(g.letter).image[p]) for p in pts]
-            if g.sign == "+":
-                return _table(BOOL, (((x,), (y,)) for x in every for y in img[x]))
-            return _table(BOOL, (((y,), (x,)) for x in every for y in img[x]))
-        if k == "cup":
-            if g.sign == "+":
-                return _table(BOOL, (((), (u, v)) for v in every for u in up[v]))
-            return _table(BOOL, (((), (u, v)) for u in every for v in up[u]))
-        if k == "cap":
-            if g.sign == "+":
-                return _table(BOOL, (((u, v), ()) for u in every for v in up[u]))
-            return _table(BOOL, (((u, v), ()) for v in every for u in up[v]))
-        if k == "birth":
-            if g.label is not None:
-                members = up[point(g.label)]
-            else:
-                members = indices(
-                    taut.initial_open if g.sign == "+" else taut.accepting_closed
-                )
-            return _table(BOOL, (((), (x,)) for x in members))
-        if k == "death":
-            if g.label is not None:
-                members = down[point(g.label)]
-            elif g.sign == "+":
-                acc = set(indices(taut.accepting_closed))
-                members = [x for x in every if acc & up[x]]
-            else:
-                ini = set(indices(taut.initial_open))
-                members = [v for v in every if ini & down[v]]
-            return _table(BOOL, (((x,), ()) for x in members))
-        if k == "merge":
-            return _table(
-                BOOL,
-                (
-                    ((x, y), (z,))
-                    for x in every
-                    for y in every
-                    for z in up[x] & up[y]
-                ),
-            )
-        if k == "split":
-            return _table(
-                BOOL,
-                (
-                    ((x,), pair)
-                    for x in every
-                    for pair in {(u, v) for z in up[x] for u in up[z] for v in up[z]}
-                ),
-            )
-        if k == "unit":
-            return _table(BOOL, (((), (x,)) for x in every))
-        if k == "counit":
-            return _table(BOOL, (((x,), ()) for x in every))
-        raise ValueError(f"unknown generator kind {k!r}")
-
-    return _run(diagram, BOOL, n, wire, image)
+    idx = {p: i for i, p in enumerate(space.points)}
+    letters = {
+        a: [[idx[y] for y in taut.letter(a).image[p]] for p in space.points]
+        for a in diagram.letters()
+    }
+    up = [frozenset(idx[y] for y in space.min_open[p]) for p in space.points]
+    initial = [idx[p] for p in taut.initial_open]
+    accepting = [idx[p] for p in taut.accepting_closed]
+    model = _model(BOOL, up, letters, initial, accepting, idx)
+    return _run(diagram, BOOL, len(up), *model)

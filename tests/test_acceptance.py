@@ -12,10 +12,6 @@ import random
 from autcob.automaton import rotations
 from autcob.covers import cyclic_cover, fiber_projection, is_covering, voltage_cover
 from autcob.diagrams import (
-    COUNIT,
-    MERGE,
-    SPLIT,
-    UNIT,
     Diagram,
     birth,
     cap,
@@ -25,9 +21,6 @@ from autcob.diagrams import (
     dot,
     ident,
     identity_diagram,
-    merge_on_minus,
-    split_on_minus,
-    swap,
     tensor,
 )
 from autcob.evaluate import eval_nfa, eval_tautomaton
@@ -36,6 +29,9 @@ from autcob.semiring import BOOL, NAT, identity, kron
 from autcob.topology import FinTop, TAutomaton, discrete, minimal_spaces
 from util import (
     A2,
+    BIALGEBRA,
+    FOAM_DUALITY,
+    FOAM_LAWS,
     H1,
     TWO_CYCLE,
     all_words,
@@ -271,44 +267,17 @@ def test_c08_foam_suite_on_all_spaces_up_to_four_points():
     zig_minus = Diagram.make(
         [[ident("-"), cup("+")], [cap("-"), ident("-")]], domain=("-",)
     )
-    assoc_l = Diagram.make([[MERGE, ident("+")], [MERGE]], domain=("+", "+", "+"))
-    assoc_r = Diagram.make([[ident("+"), MERGE], [MERGE]], domain=("+", "+", "+"))
-    comm = Diagram.make([[swap("+", "+")], [MERGE]], domain=("+", "+"))
-    merge_d = Diagram.make([[MERGE]], domain=("+", "+"))
-    unit_l = Diagram.make([[UNIT, ident("+")], [MERGE]], domain=("+",))
-    unit_r = Diagram.make([[ident("+"), UNIT], [MERGE]], domain=("+",))
-    coassoc_l = Diagram.make([[SPLIT], [SPLIT, ident("+")]], domain=("+",))
-    coassoc_r = Diagram.make([[SPLIT], [ident("+"), SPLIT]], domain=("+",))
-    cocomm = Diagram.make([[SPLIT], [swap("+", "+")]], domain=("+",))
-    split_d = Diagram.make([[SPLIT]], domain=("+",))
-    counit_l = Diagram.make([[SPLIT], [COUNIT, ident("+")]], domain=("+",))
-    counit_r = Diagram.make([[SPLIT], [ident("+"), COUNIT]], domain=("+",))
-    d5 = Diagram.make([[SPLIT], [MERGE]], domain=("+",))
-    bial_l = Diagram.make([[MERGE], [SPLIT]], domain=("+", "+"))
-    bial_r = Diagram.make(
-        [[SPLIT, SPLIT], [ident("+"), swap("+", "+"), ident("+")], [MERGE, MERGE]],
-        domain=("+", "+"),
-    )
 
     ok = True
     for space in spaces:
-        wire_p = ev(space, identity_diagram(("+",)))
-        wire_m = ev(space, identity_diagram(("-",)))
-        ok &= ev(space, zig_plus) == wire_p
-        ok &= ev(space, zig_minus) == wire_m
-        ok &= ev(space, assoc_l) == ev(space, assoc_r)
-        ok &= ev(space, comm) == ev(space, merge_d)
-        ok &= ev(space, unit_l) == wire_p
-        ok &= ev(space, unit_r) == wire_p
-        ok &= ev(space, coassoc_l) == ev(space, coassoc_r)
-        ok &= ev(space, cocomm) == ev(space, split_d)
-        ok &= ev(space, counit_l) == wire_p
-        ok &= ev(space, counit_r) == wire_p
-        ok &= ev(space, d5) == wire_p
-        dual = space.dual()
-        ok &= ev(space, merge_on_minus()) == ev(dual, merge_d)
-        ok &= ev(space, split_on_minus()) == ev(dual, split_d)
-        l, r = ev(space, bial_l), ev(space, bial_r)
+        ok &= ev(space, zig_plus) == ev(space, identity_diagram(("+",)))
+        ok &= ev(space, zig_minus) == ev(space, identity_diagram(("-",)))
+        for pairs in FOAM_LAWS.values():
+            for lhs, rhs in pairs:
+                ok &= ev(space, lhs) == ev(space, rhs)
+        for lhs, rhs in FOAM_DUALITY:
+            ok &= ev(space, lhs) == ev(space.dual(), rhs)
+        l, r = (ev(space, d) for d in BIALGEBRA)
         ok &= l + r == r
         for _ in range(5):
             foam = random_closed_diagram(rng, foam=True, endpoints=False)
@@ -318,7 +287,7 @@ def test_c08_foam_suite_on_all_spaces_up_to_four_points():
         ["a", "b", "c", "d"],
         {"a": {"a"}, "b": {"b"}, "c": {"a", "b", "c"}, "d": {"a", "b", "d"}},
     )
-    ok &= ev(witness, bial_l) != ev(witness, bial_r)
+    ok &= ev(witness, BIALGEBRA[0]) != ev(witness, BIALGEBRA[1])
     assert report("criterion 8 (foam laws on all 24 spaces <= 4 points)", ok)
 
 

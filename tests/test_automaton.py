@@ -15,7 +15,7 @@ from autcob.automaton import (
     rotations,
 )
 from autcob.semiring import BOOL, identity
-from util import A2, H1, TWO_CYCLE, all_words, random_nfa
+from util import A2, H1, TWO_CYCLE, all_words, random_nfa, reference_trim
 
 seeds = st.integers(0, 10**6)
 
@@ -198,6 +198,14 @@ def test_trim_preserves_both_languages(seed):
     trimmed = nfa.trim()
     assert trimmed.interval_language(8) == nfa.interval_language(8)
     assert trimmed.trace_language(8) == nfa.trace_language(8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.floats(0, 0.1))
+def test_trim_matches_the_delta_scanning_reference(seed, density):
+    # sparse graphs up to 30 states: paths, loops and dead ends all occur
+    nfa = random_nfa(random.Random(seed), max_states=30, density=density)
+    assert nfa.trim() == reference_trim(nfa)
 
 
 # -- disjoint union --------------------------------------------------------------

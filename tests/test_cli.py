@@ -228,3 +228,45 @@ def test_parse_error_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--automaton", A2_PATH, "--diagram", str(d))
     assert code == 2
     assert "line 1" in err
+
+
+def _cover_file_exit_code(tmp_path, capsys, command, data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    if command == "voltage":
+        argv = ["voltage", "--automaton", A2_PATH, "--n", "2",
+                "--voltages", str(path), "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["check", "--map", str(path), "--cover", A2_PATH, "--base", A2_PATH]
+    return run(capsys, "cover", *argv)[0]
+
+
+def _assignment(perm):
+    return {"assignments": [{"from": "q2", "letter": "b", "to": "q2", "perm": perm}]}
+
+
+def test_voltage_perm_that_is_not_a_list_is_input_error(tmp_path, capsys):
+    assert _cover_file_exit_code(tmp_path, capsys, "voltage", _assignment(5)) == 2
+
+
+def test_voltage_perm_with_a_string_is_input_error(tmp_path, capsys):
+    data = _assignment([0, "x"])
+    assert _cover_file_exit_code(tmp_path, capsys, "voltage", data) == 2
+
+
+def test_voltage_assignment_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    data = {"assignments": [1]}
+    assert _cover_file_exit_code(tmp_path, capsys, "voltage", data) == 2
+
+
+def test_voltage_file_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    assert _cover_file_exit_code(tmp_path, capsys, "voltage", []) == 2
+
+
+def test_map_file_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    assert _cover_file_exit_code(tmp_path, capsys, "check", []) == 2
+
+
+def test_map_vertices_that_are_not_an_object_is_input_error(tmp_path, capsys):
+    data = {"vertices": [1]}
+    assert _cover_file_exit_code(tmp_path, capsys, "check", data) == 2

@@ -13,7 +13,15 @@ from autcob.covers import (
     is_weak_covering,
     voltage_cover,
 )
-from util import A2, TWO_CYCLE, all_words, random_nfa
+from util import (
+    A2,
+    TWO_CYCLE,
+    all_words,
+    random_nfa,
+    reference_graph_map_ok,
+    reference_is_covering,
+    reference_is_weak_covering,
+)
 
 seeds = st.integers(0, 10**6)
 
@@ -244,3 +252,51 @@ def test_label_mismatch_fails_structure():
     cover = Nfa.make(["q@0"], ["a", "b"], [("q@0", "a", "q@0")], [], [])
     p = GraphMap({"q@0": "q"}, {("q@0", "a", "q@0"): ("q", "b", "q")})
     assert is_weak_covering(p, cover, base) is False
+
+
+# -- the indexed checks against the delta-scanning references ---------------------
+
+
+def random_cover(rng, kind):
+    """A random base and a voltage or weak cover of it, as (cover, base)."""
+    base = random_nfa(rng, max_states=4)
+    if kind == "voltage":
+        n = rng.randint(1, 3)
+        return voltage_cover(base, n, random_voltages(rng, base, n)), base
+    return random_weak_cover(rng, base), base
+
+
+def assert_checks_match_references(cover, base):
+    p = fiber_projection(cover, base)
+    assert is_covering(p, cover, base) == reference_is_covering(p, cover, base)
+    assert is_weak_covering(p, cover, base) == reference_is_weak_covering(
+        p, cover, base
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(["voltage", "weak"]))
+def test_covering_checks_match_references(seed, kind):
+    cover, base = random_cover(random.Random(seed), kind)
+    assert_checks_match_references(cover, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from(["voltage", "weak"]))
+def test_covering_checks_match_references_with_an_edge_dropped(seed, kind):
+    rng = random.Random(seed)
+    cover, base = random_cover(rng, kind)
+    if not cover.delta:
+        return
+    dropped = rng.choice(sorted(cover.delta))
+    broken = Nfa.make(
+        cover.states, cover.alphabet, cover.delta - {dropped}, cover.initial,
+        cover.accepting,
+    )
+    assert_checks_match_references(broken, base)
+    p = fiber_projection(broken, base)
+    assert reference_graph_map_ok(p, broken, base)
+    # both kinds give each point of a fiber exactly one lift of each base
+    # out-edge, so the dropped edge was the only lift at its source
+    assert is_weak_covering(p, broken, base) is False
+    assert is_covering(p, broken, base) is False

@@ -20,9 +20,7 @@ from autcob.diagrams import (
     ident,
     identity_diagram,
     interval_diagram,
-    merge_on_minus,
     parse_diagram,
-    split_on_minus,
     swap,
     tensor,
 )
@@ -40,6 +38,9 @@ from autcob.semiring import BOOL, NAT, identity, kron
 from autcob.topology import FinTop, TAutomaton, discrete, minimal_spaces
 from util import (
     A2,
+    BIALGEBRA,
+    FOAM_DUALITY,
+    FOAM_LAWS,
     SIERPINSKI as S2,
     all_words,
     dense_eval_nfa,
@@ -325,57 +326,34 @@ def spaces_up_to(n):
         yield from minimal_spaces(k)
 
 
-def test_algebra_laws_hold_on_small_spaces():
-    assoc_l = Diagram.make([[MERGE, ident("+")], [MERGE]], domain=("+", "+", "+"))
-    assoc_r = Diagram.make([[ident("+"), MERGE], [MERGE]], domain=("+", "+", "+"))
-    comm = Diagram.make([[swap("+", "+")], [MERGE]], domain=("+", "+"))
-    plain = Diagram.make([[MERGE]], domain=("+", "+"))
-    unit_l = Diagram.make([[UNIT, ident("+")], [MERGE]], domain=("+",))
-    unit_r = Diagram.make([[ident("+"), UNIT], [MERGE]], domain=("+",))
+def assert_laws_hold_on_small_spaces(*laws):
     for space in spaces_up_to(4):
-        wire = ev(space, identity_diagram(("+",)))
-        assert ev(space, assoc_l) == ev(space, assoc_r)
-        assert ev(space, comm) == ev(space, plain)
-        assert ev(space, unit_l) == wire
-        assert ev(space, unit_r) == wire
+        for law in laws:
+            for lhs, rhs in FOAM_LAWS[law]:
+                assert ev(space, lhs) == ev(space, rhs), law
+
+
+def test_algebra_laws_hold_on_small_spaces():
+    assert_laws_hold_on_small_spaces("associativity", "commutativity", "unit")
 
 
 def test_coalgebra_laws_hold_on_small_spaces():
-    coassoc_l = Diagram.make([[SPLIT], [SPLIT, ident("+")]], domain=("+",))
-    coassoc_r = Diagram.make([[SPLIT], [ident("+"), SPLIT]], domain=("+",))
-    cocomm = Diagram.make([[SPLIT], [swap("+", "+")]], domain=("+",))
-    plain = Diagram.make([[SPLIT]], domain=("+",))
-    counit_l = Diagram.make([[SPLIT], [COUNIT, ident("+")]], domain=("+",))
-    counit_r = Diagram.make([[SPLIT], [ident("+"), COUNIT]], domain=("+",))
-    for space in spaces_up_to(4):
-        wire = ev(space, identity_diagram(("+",)))
-        assert ev(space, coassoc_l) == ev(space, coassoc_r)
-        assert ev(space, cocomm) == ev(space, plain)
-        assert ev(space, counit_l) == wire
-        assert ev(space, counit_r) == wire
+    assert_laws_hold_on_small_spaces("coassociativity", "cocommutativity", "counit")
 
 
 def test_split_then_merge_is_identity():
-    d5 = Diagram.make([[SPLIT], [MERGE]], domain=("+",))
-    for space in spaces_up_to(4):
-        assert ev(space, d5) == ev(space, identity_diagram(("+",)))
+    assert_laws_hold_on_small_spaces("split-merge")
 
 
 def test_vertices_on_minus_wires_match_the_dual_space():
     for space in spaces_up_to(4):
-        dual = space.dual()
-        assert ev(space, merge_on_minus()) == ev(dual, Diagram.make([[MERGE]]))
-        assert ev(space, split_on_minus()) == ev(dual, Diagram.make([[SPLIT]]))
+        for lhs, rhs in FOAM_DUALITY:
+            assert ev(space, lhs) == ev(space.dual(), rhs)
 
 
 def test_split_of_merge_dominates_merge_of_splits():
-    left = Diagram.make([[MERGE], [SPLIT]], domain=("+", "+"))
-    right = Diagram.make(
-        [[SPLIT, SPLIT], [ident("+"), swap("+", "+"), ident("+")], [MERGE, MERGE]],
-        domain=("+", "+"),
-    )
     for space in spaces_up_to(4):
-        l, r = ev(space, left), ev(space, right)
+        l, r = (ev(space, d) for d in BIALGEBRA)
         assert l + r == r  # pointwise at-most on every basis pair
 
 
@@ -384,12 +362,7 @@ def test_bialgebra_axiom_fails_on_a_four_point_space():
         ["a", "b", "c", "d"],
         {"a": {"a"}, "b": {"b"}, "c": {"a", "b", "c"}, "d": {"a", "b", "d"}},
     )
-    left = Diagram.make([[MERGE], [SPLIT]], domain=("+", "+"))
-    right = Diagram.make(
-        [[SPLIT, SPLIT], [ident("+"), swap("+", "+"), ident("+")], [MERGE, MERGE]],
-        domain=("+", "+"),
-    )
-    assert ev(space, left) != ev(space, right)
+    assert ev(space, BIALGEBRA[0]) != ev(space, BIALGEBRA[1])
 
 
 @settings(max_examples=30, deadline=None)

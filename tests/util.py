@@ -16,6 +16,9 @@ from autcob.diagrams import (
     dot,
     flip,
     ident,
+    identity_diagram,
+    merge_on_minus,
+    split_on_minus,
     swap,
 )
 from autcob.semiring import BOOL, Mat, identity, kron
@@ -52,16 +55,68 @@ H1 = Nfa.make(
 SIERPINSKI = FinTop.make(["x", "y"], {"x": {"x"}, "y": {"x", "y"}})
 
 
+# -- foam laws -------------------------------------------------------------------
+#
+# One table read by criterion c08, the law tests in test_evaluate.py and
+# scripts/foam_check.py.  Each law is a list of (left, right) diagram pairs
+# whose evaluations agree on every finite space.
+
+_WIRE = identity_diagram(("+",))
+_MERGE = Diagram.make([[MERGE]], domain=("+", "+"))
+_SPLIT = Diagram.make([[SPLIT]], domain=("+",))
+
+FOAM_LAWS = {
+    "associativity": [(
+        Diagram.make([[MERGE, ident("+")], [MERGE]], domain=("+", "+", "+")),
+        Diagram.make([[ident("+"), MERGE], [MERGE]], domain=("+", "+", "+")),
+    )],
+    "commutativity": [
+        (Diagram.make([[swap("+", "+")], [MERGE]], domain=("+", "+")), _MERGE),
+    ],
+    "unit": [
+        (Diagram.make([[UNIT, ident("+")], [MERGE]], domain=("+",)), _WIRE),
+        (Diagram.make([[ident("+"), UNIT], [MERGE]], domain=("+",)), _WIRE),
+    ],
+    "coassociativity": [(
+        Diagram.make([[SPLIT], [SPLIT, ident("+")]], domain=("+",)),
+        Diagram.make([[SPLIT], [ident("+"), SPLIT]], domain=("+",)),
+    )],
+    "cocommutativity": [
+        (Diagram.make([[SPLIT], [swap("+", "+")]], domain=("+",)), _SPLIT),
+    ],
+    "counit": [
+        (Diagram.make([[SPLIT], [COUNIT, ident("+")]], domain=("+",)), _WIRE),
+        (Diagram.make([[SPLIT], [ident("+"), COUNIT]], domain=("+",)), _WIRE),
+    ],
+    "split-merge": [(Diagram.make([[SPLIT], [MERGE]], domain=("+",)), _WIRE)],
+}
+
+# (left, right): left on a space equals right on the dual space
+FOAM_DUALITY = [(merge_on_minus(), _MERGE), (split_on_minus(), _SPLIT)]
+
+# (left, right): the bialgebra axiom holds only as left <= right entrywise,
+# and strictly on some four-point space
+BIALGEBRA = (
+    Diagram.make([[MERGE], [SPLIT]], domain=("+", "+")),
+    Diagram.make(
+        [[SPLIT, SPLIT], [ident("+"), swap("+", "+"), ident("+")], [MERGE, MERGE]],
+        domain=("+", "+"),
+    ),
+)
+
+
 def all_words(alphabet, max_len):
     for k in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=k)
 
 
-def random_nfa(rng, max_states=4, alphabet=("a", "b"), min_states=1):
+def random_nfa(
+    rng, max_states=4, alphabet=("a", "b"), min_states=1, density=0.3
+):
     n = rng.randint(min_states, max_states)
     states = [f"q{i}" for i in range(n)]
     triples = [(q, a, r) for q in states for a in alphabet for r in states]
-    delta = [t for t in triples if rng.random() < 0.3]
+    delta = [t for t in triples if rng.random() < density]
     initial = [q for q in states if rng.random() < 0.4]
     accepting = [q for q in states if rng.random() < 0.4]
     return Nfa.make(states, alphabet, delta, initial, accepting)
@@ -336,3 +391,97 @@ def dense_eval_tautomaton(taut, diagram) -> Mat:
         return d(0, 1, lambda o, i: True)  # counit
 
     return _dense_run(BOOL, space.points, diagram, image)
+
+
+# -- graph references -------------------------------------------------------------
+#
+# Straight rescans of ``delta``, kept as the references the indexed graph
+# walks in ``Nfa.trim`` and ``autcob.covers`` are compared with.
+
+
+def _reference_reach(nfa, seeds, forward=True):
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        q = todo.pop()
+        for p, _, r in nfa.delta:
+            src, dst = (p, r) if forward else (r, p)
+            if src == q and dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return seen
+
+
+def reference_trim(nfa):
+    """Nfa.trim by rescanning delta: the core is every state on an
+    initial-to-accepting path or on an oriented loop, or else one bare state
+    of a nonempty automaton."""
+    on_path = _reference_reach(nfa, nfa.initial) & _reference_reach(
+        nfa, nfa.accepting, forward=False
+    )
+    on_loop = {
+        q
+        for q in nfa.states
+        if q in _reference_reach(nfa, {r for p, _, r in nfa.delta if p == q})
+    }
+    core = on_path | on_loop
+    if not core and nfa.states:
+        core = {nfa.states[0]}
+    return Nfa.make(
+        [q for q in nfa.states if q in core],
+        nfa.alphabet,
+        [(q, a, r) for q, a, r in nfa.delta if q in core and r in core],
+        nfa.initial & core,
+        nfa.accepting & core,
+    )
+
+
+def reference_graph_map_ok(p, cover, base):
+    """A surjective map of labelled graphs that takes decorations to
+    decorations by exact preimage."""
+    vm = p.vertex_map
+    if set(vm.values()) != set(base.states):
+        return False
+    for q, a, r in cover.delta:
+        if p.edge_map[(q, a, r)] != (vm[q], a, vm[r]):
+            return False
+        if (vm[q], a, vm[r]) not in base.delta:
+            return False
+    return all(
+        (q in mine) == (vm[q] in theirs)
+        for q in cover.states
+        for mine, theirs in ((cover.initial, base.initial),
+                             (cover.accepting, base.accepting))
+    )
+
+
+def _lifts(p, cover, q, edge, out):
+    """The cover edges at q (leaving it when ``out``, else entering it)
+    that p sends to the base edge ``edge``."""
+    return [
+        e for e in cover.delta if e[0 if out else 2] == q and p.edge_map[e] == edge
+    ]
+
+
+def reference_is_weak_covering(p, cover, base):
+    """Every base edge lifts at every point of the fiber over its source."""
+    vm = p.vertex_map
+    return reference_graph_map_ok(p, cover, base) and all(
+        _lifts(p, cover, q, edge, out=True)
+        for edge in base.delta
+        for q in cover.states
+        if vm[q] == edge[0]
+    )
+
+
+def reference_is_covering(p, cover, base):
+    """Every base edge at the image of a state lifts there exactly once,
+    on the out side and on the in side."""
+    vm = p.vertex_map
+    return reference_graph_map_ok(p, cover, base) and all(
+        len(_lifts(p, cover, q, edge, out)) == 1
+        for q in cover.states
+        for out in (True, False)
+        for edge in base.delta
+        if edge[0 if out else 2] == vm[q]
+    )
