@@ -1,11 +1,12 @@
-"""Nondeterministic finite automata as Boolean linear algebra.
+"""Nondeterministic finite automata and the subset walk of a word.
 
-An automaton is a labelled oriented graph on interned string ids.  Letter
-matrices follow the order of the ``states`` tuple; the matrix of a word is
-the ordered product M(a1) @ ... @ M(an).  Interval evaluation asks for a
-path from an initial to an accepting state spelling the word; trace
-evaluation asks for a closed walk, i.e. the Boolean trace of the word
-matrix, and is invariant under rotation of the word.
+An automaton is a labelled oriented graph on interned string ids.  A letter
+sends state x to its set of successors; ``Nfa._rows`` indexes these images
+by state index, and ``walk`` runs a word through them as a frontier of
+indices.  Interval evaluation walks from the initial states and asks to meet
+an accepting one; trace evaluation asks for a closed walk, walking from each
+state in turn, and is invariant under rotation of the word.  A T-automaton
+runs words through the same walk over the points of its space.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .semiring import BOOL, Mat, Semiring, identity
+from .semiring import BOOL, Mat, Semiring
 
 Word = tuple  # tuple of letter strings
 
@@ -25,9 +26,26 @@ def as_word(w) -> Word:
     letters, or a CircularWord."""
     if isinstance(w, CircularWord):
         return w.letters
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
+
+
+def checked_word(rows, w) -> Word:
+    """w as a word, after checking that ``rows`` has every letter of it."""
+    word = as_word(w)
+    for a in word:
+        if a not in rows:
+            raise KeyError(f"unknown letter {a!r}")
+    return word
+
+
+def walk(rows, seeds, word) -> set:
+    """The basis indices reached from ``seeds`` along ``word``, where
+    ``rows[a][x]`` is the set of indices in the image of x under a.  Each
+    letter replaces the frontier by the union of its members' rows."""
+    frontier = set(seeds)
+    for a in word:
+        frontier = set().union(*map(rows[a].__getitem__, frontier))
+    return frontier
 
 
 def rotations(w) -> list:
@@ -128,6 +146,15 @@ class Nfa:
         return {k: frozenset(v) for k, v in table.items()}
 
     @cached_property
+    def _rows(self) -> dict:
+        """letter -> the indices of each state's successors, by state index."""
+        idx = self._index
+        rows = {a: [set() for _ in self.states] for a in self.alphabet}
+        for q, a, r in self.delta:
+            rows[a][idx[q]].add(idx[r])
+        return rows
+
+    @cached_property
     def _edges(self) -> tuple:
         """(out-edges, in-edges): each maps a state to the (letter, other
         end) pairs of the transitions leaving, or entering, it."""
@@ -137,14 +164,6 @@ class Nfa:
             out[q].append((a, r))
             into[r].append((a, q))
         return out, into
-
-    def successors(self, sources: Iterable, a) -> frozenset:
-        if a not in self.alphabet:
-            raise KeyError(f"unknown letter {a!r}")
-        out = set()
-        for q in sources:
-            out |= self._succ.get((q, a), frozenset())
-        return frozenset(out)
 
     def renamed(self, fn) -> Nfa:
         return Nfa.make(
@@ -170,26 +189,42 @@ class Nfa:
         return Mat(ring, n, n, tuple(ent))
 
     def word_matrix(self, w, ring: Semiring = BOOL) -> Mat:
-        m = identity(ring, len(self.states))
-        for a in as_word(w):
-            m = m @ self.letter_matrix(a, ring)
-        return m
+        """M[q][r] sums the paths from q to r spelling w: over NAT it counts
+        them.  Rows are composed as sparse vectors, the matrix built last."""
+        rows = self._rows
+        word = checked_word(rows, w)
+        n = len(self.states)
+        add = ring.add
+        vectors = [{i: ring.one} for i in range(n)]
+        for a in word:
+            row = rows[a]
+            for i, vec in enumerate(vectors):
+                out = {}
+                for x, v in vec.items():
+                    for y in row[x]:
+                        out[y] = add(out[y], v) if y in out else v
+                vectors[i] = out
+        ent = [ring.zero] * (n * n)
+        for i, vec in enumerate(vectors):
+            for j, v in vec.items():
+                ent[i * n + j] = v
+        return Mat(ring, n, n, tuple(ent))
 
     # -- evaluations -------------------------------------------------------
 
     def interval_eval(self, w) -> bool:
         """True iff some path spelling w runs from an initial to an
         accepting state."""
-        frontier = self.initial
-        for a in as_word(w):
-            frontier = self.successors(frontier, a)
-        return bool(frontier & self.accepting)
+        word = checked_word(self._rows, w)
+        idx = self._index
+        reached = walk(self._rows, [idx[q] for q in self.initial], word)
+        return not reached.isdisjoint([idx[q] for q in self.accepting])
 
     def trace_eval(self, w) -> bool:
         """True iff some state carries a closed walk spelling w."""
-        m = self.word_matrix(w)
-        n = len(self.states)
-        return any(m.entries[i * n + i] for i in range(n))
+        rows = self._rows
+        word = checked_word(rows, w)
+        return any(i in walk(rows, (i,), word) for i in range(len(self.states)))
 
     def circular_through_subset(self, marked, w) -> bool:
         """True iff some cyclic path spelling w (up to rotation) visits a
@@ -198,53 +233,41 @@ class Nfa:
         unknown = marked - set(self.states)
         if unknown:
             raise ValueError(f"unknown states {sorted(unknown)}")
-        word = as_word(w)
+        rows = self._rows
+        word = checked_word(rows, w)
         if not word:
             return bool(marked)
-        n = len(self.states)
-        idx = self._index
-        for rot in set(rotations(word)):
-            m = self.word_matrix(rot)
-            if any(m.entries[idx[q] * n + idx[q]] for q in marked):
-                return True
-        return False
+        starts = [self._index[q] for q in marked]
+        rots = set(rotations(word))
+        return any(i in walk(rows, (i,), r) for r in rots for i in starts)
 
     # -- language prefixes -------------------------------------------------
 
-    def interval_language(self, max_len: int) -> set:
-        """All accepted words of length <= max_len (as letter tuples)."""
+    def _language(self, max_len: int, starts) -> set:
+        """The words of length <= max_len that walk some (seeds, targets)
+        pair of ``starts`` from its seeds into its targets."""
         out = set()
 
-        def walk(word, frontier):
-            if frontier & self.accepting:
+        def grow(word, live):
+            if any(not f.isdisjoint(t) for f, t in live):
                 out.add(word)
-            if len(word) == max_len or not frontier:
-                return
-            for a in self.alphabet:
-                walk(word + (a,), self.successors(frontier, a))
+            if len(word) < max_len and live:
+                for a in self.alphabet:
+                    step = [(walk(self._rows, f, (a,)), t) for f, t in live]
+                    grow(word + (a,), [(f, t) for f, t in step if f])
 
-        walk((), self.initial)
+        grow((), starts)
         return out
+
+    def interval_language(self, max_len: int) -> set:
+        """All accepted words of length <= max_len (as letter tuples)."""
+        idx = self._index
+        ends = tuple({idx[q] for q in g} for g in (self.initial, self.accepting))
+        return self._language(max_len, [ends])
 
     def trace_language(self, max_len: int) -> set:
         """All words of length <= max_len carried by some closed walk."""
-        n = len(self.states)
-        mats = {a: self.letter_matrix(a) for a in self.alphabet}
-        out = set()
-
-        def diag(m):
-            return any(m.entries[i * n + i] for i in range(n))
-
-        def walk(word, m):
-            if diag(m):
-                out.add(word)
-            if len(word) == max_len:
-                return
-            for a in self.alphabet:
-                walk(word + (a,), m @ mats[a])
-
-        walk((), identity(BOOL, n))
-        return out
+        return self._language(max_len, [({i}, {i}) for i in range(len(self.states))])
 
     # -- constructions -----------------------------------------------------
 

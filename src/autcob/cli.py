@@ -9,15 +9,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
 from .automaton import Nfa
-from .covers import GraphMap, cyclic_cover, is_covering, is_weak_covering, voltage_cover
+from .covers import GraphMap, check_cover_size, cyclic_cover, is_covering
+from .covers import is_weak_covering, voltage_cover
 from .diagrams import Diagram, parse_diagram
 from .errors import CapacityError, DiagramTypeError, ParseError
 from .evaluate import eval_nfa, eval_tautomaton
 from .oracle import chain_map_sum, circle_map_sum
 from .semiring import BOOL, NAT
 from .topology import TAutomaton
+
+#: The most words ``oracle sweep`` enumerates.
+MAX_SWEEP_WORDS = 1 << 16
 
 
 def cli_word(text: str) -> tuple:
@@ -77,23 +82,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_member(args) -> int:
-    print(int(_load_nfa(args.automaton).interval_eval(cli_word(args.word))))
-    return 0
-
-
-def _cmd_trace_member(args) -> int:
-    print(int(_load_nfa(args.automaton).trace_eval(cli_word(args.word))))
-    return 0
-
-
-def _cmd_t_member(args) -> int:
-    print(int(_load_taut(args.tautomaton).interval_eval(cli_word(args.word))))
-    return 0
-
-
-def _cmd_t_trace(args) -> int:
-    print(int(_load_taut(args.tautomaton).trace_eval(cli_word(args.word))))
+def _cmd_word(args) -> int:
+    """One word query, ``args.query``, on an automaton or a T-automaton."""
+    if "tautomaton" in args:
+        machine = _load_taut(args.tautomaton)
+    else:
+        machine = _load_nfa(args.automaton)
+    print(int(getattr(machine, args.query)(cli_word(args.word))))
     return 0
 
 
@@ -112,6 +107,7 @@ def _cmd_cover_voltage(args) -> int:
     assignments = spec.get("assignments", [])
     if not isinstance(assignments, list):
         raise ValueError("'assignments' must be a list")
+    check_cover_size(nfa, args.n)
     # unlisted transitions get the identity permutation
     voltages = {e: tuple(range(args.n)) for e in nfa.delta}
     for item in assignments:
@@ -165,12 +161,16 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_oracle_sweep(args) -> int:
+    if args.max_len < 0:
+        raise ValueError(f"--max-len must be at least 0, got {args.max_len}")
     nfa = _load_nfa(args.automaton)
-    words = [()]
-    frontier = [()]
-    for _ in range(args.max_len):
-        frontier = [w + (a,) for w in frontier for a in nfa.alphabet]
-        words.extend(frontier)
+    k, top = len(nfa.alphabet), args.max_len
+    # the words of length <= top; past length 64 they are over the cap anyway
+    count = 1 + k * top if k < 2 else (k ** (min(top, 64) + 1) - 1) // (k - 1)
+    if count > MAX_SWEEP_WORDS:
+        raise CapacityError(f"more than {MAX_SWEEP_WORDS} words up to length {top}")
+    lengths = range(top + 1 if k else 1)
+    words = (w for n in lengths for w in product(nfa.alphabet, repeat=n))
     bad = 0
     for w in words:
         checks = [
@@ -178,14 +178,9 @@ def _cmd_oracle_sweep(args) -> int:
             ("circle/bool", bool(circle_map_sum(nfa, w)), nfa.trace_eval(w)),
         ]
         m = nfa.word_matrix(w, NAT)
-        idx = {q: i for i, q in enumerate(nfa.states)}
-        n = len(nfa.states)
-        count = sum(
-            m.entries[idx[q] * n + idx[r]]
-            for q in nfa.initial
-            for r in nfa.accepting
-        )
-        checks.append(("chain/nat", chain_map_sum(nfa, w, NAT), count))
+        idx = nfa._index
+        paths = sum(m[idx[q], idx[r]] for q in nfa.initial for r in nfa.accepting)
+        checks.append(("chain/nat", chain_map_sum(nfa, w, NAT), paths))
         checks.append(("circle/nat", circle_map_sum(nfa, w, NAT), m.trace()))
         for name, got, want in checks:
             if got != want:
@@ -194,7 +189,7 @@ def _cmd_oracle_sweep(args) -> int:
                       file=sys.stderr)
     if bad:
         return 1
-    print(f"ok: {len(words)} words up to length {args.max_len}")
+    print(f"ok: {count} words up to length {top}")
     return 0
 
 
@@ -210,25 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semiring", choices=["bool", "nat"], default="bool")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("member", help="interval membership")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("trace-member", help="trace (circular) membership")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_trace_member)
-
-    p = sub.add_parser("t-member", help="T-automaton interval membership")
-    p.add_argument("--tautomaton", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_t_member)
-
-    p = sub.add_parser("t-trace", help="T-automaton trace membership")
-    p.add_argument("--tautomaton", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_t_trace)
+    for name, source, query, text in (
+        ("member", "automaton", "interval_eval", "interval membership"),
+        ("trace-member", "automaton", "trace_eval", "trace (circular) membership"),
+        ("t-member", "tautomaton", "interval_eval", "T-automaton interval membership"),
+        ("t-trace", "tautomaton", "trace_eval", "T-automaton trace membership"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument(f"--{source}", required=True)
+        p.add_argument("--word", required=True)
+        p.set_defaults(func=_cmd_word, query=query)
 
     cover = sub.add_parser("cover", help="covering constructions and checks")
     csub = cover.add_subparsers(dest="cover_command", required=True)

@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import Nfa
+from .errors import CapacityError
+
+#: The most states plus transitions a cover may have.
+MAX_COVER_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,15 @@ def fiber_projection(cover: Nfa, base: Nfa, sep: str = "@") -> GraphMap:
     return GraphMap.from_vertex_map(cover, base, vm)
 
 
+def check_cover_size(nfa: Nfa, n: int):
+    """Refuse, before anything is built, an n-fold cover whose |Q|·n states
+    and |δ|·n transitions exceed ``MAX_COVER_SIZE``."""
+    size = (len(nfa.states) + len(nfa.delta)) * n
+    if size > MAX_COVER_SIZE:
+        raise CapacityError(f"a {n}-fold cover needs {size} states and"
+                            f" transitions, over the cap of {MAX_COVER_SIZE}")
+
+
 def cyclic_cover(nfa: Nfa, order, n: int) -> Nfa:
     """Arrange the states around a circle in the given order and unroll n
     times.  An edge winds once iff its target's position does not exceed
@@ -53,6 +66,7 @@ def cyclic_cover(nfa: Nfa, order, n: int) -> Nfa:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    check_cover_size(nfa, n)
     if sorted(order) != sorted(nfa.states) or len(order) != len(nfa.states):
         raise ValueError("order must be a permutation of the states")
     pos = {q: i for i, q in enumerate(order)}
@@ -76,6 +90,7 @@ def voltage_cover(nfa: Nfa, n: int, voltages: dict) -> Nfa:
     projection is a locally trivial covering by construction."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_cover_size(nfa, n)
     voltages = {tuple(e): tuple(p) for e, p in voltages.items()}
     missing = nfa.delta - set(voltages)
     if missing:

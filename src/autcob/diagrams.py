@@ -129,6 +129,9 @@ class Gen:
     def from_json_dict(cls, data: dict) -> Gen:
         if not isinstance(data, dict) or "gen" not in data:
             raise ValueError("generator JSON needs a 'gen' key")
+        fields = [v for k, v in data.items() if k != "signs"]
+        if not all(v is None or isinstance(v, str) for v in fields):
+            raise ValueError(f"generator fields must be strings, got {data!r}")
         kind = data["gen"]
         allowed = {"gen"}
         kw = {"kind": kind}
@@ -257,8 +260,10 @@ class Diagram:
         extra = set(data) - {"slices"}
         if extra:
             raise ValueError(f"unknown keys {sorted(extra)}")
-        slices = [[Gen.from_json_dict(g) for g in slc] for slc in data.get("slices", [])]
-        return cls.make(slices)
+        slices = data.get("slices", [])
+        if not isinstance(slices, list) or not all(isinstance(s, list) for s in slices):
+            raise ValueError("'slices' must be a list of lists of generators")
+        return cls.make([[Gen.from_json_dict(g) for g in slc] for slc in slices])
 
     @classmethod
     def from_json(cls, text: str) -> Diagram:

@@ -165,8 +165,9 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
 def _model(ring, up, letters, initial, accepting, index):
     """The module model of a state space with basis 0..n-1.
 
-    ``up[x]`` is the set of basis indices in U_x; ``letters[a][x]`` lists
-    the image of x under the letter a; ``initial`` and ``accepting`` list
+    ``up[x]`` is the set of basis indices in U_x; ``letters[a][x]`` is the
+    set of those in the image of x under the letter a (the automaton's or
+    T-automaton's ``_rows``); ``initial`` and ``accepting`` list
     the indices of the initial open and the accepting closed set; ``index``
     maps an endpoint label to its basis index.  Returns ``(wire, image)``
     as ``_run`` takes them: ``wire`` is None exactly when every U_x is
@@ -262,15 +263,10 @@ def eval_nfa(nfa: Nfa, diagram: Diagram, ring: Semiring = BOOL) -> Evaluation:
             " automaton to a discrete-space T-automaton first"
         )
     idx = nfa._index
-    succ = nfa._succ
-    letters = {
-        a: [[idx[r] for r in succ.get((q, a), ())] for q in nfa.states]
-        for a in diagram.letters()
-    }
     up = [frozenset((x,)) for x in range(len(nfa.states))]
     initial = [idx[q] for q in nfa.initial]
     accepting = [idx[q] for q in nfa.accepting]
-    model = _model(ring, up, letters, initial, accepting, idx)
+    model = _model(ring, up, nfa._rows, initial, accepting, idx)
     return _run(diagram, ring, len(up), *model)
 
 
@@ -294,14 +290,8 @@ def eval_tautomaton(taut: TAutomaton, diagram: Diagram) -> Evaluation:
     unknown = diagram.letters() - set(taut.alphabet)
     if unknown:
         raise KeyError(f"unknown letters {sorted(unknown)}")
-    space = taut.space
-    idx = {p: i for i, p in enumerate(space.points)}
-    letters = {
-        a: [[idx[y] for y in taut.letter(a).image[p]] for p in space.points]
-        for a in diagram.letters()
-    }
-    up = [frozenset(idx[y] for y in space.min_open[p]) for p in space.points]
+    idx, up = taut._index, taut._up
     initial = [idx[p] for p in taut.initial_open]
     accepting = [idx[p] for p in taut.accepting_closed]
-    model = _model(BOOL, up, letters, initial, accepting, idx)
+    model = _model(BOOL, up, taut._rows, initial, accepting, idx)
     return _run(diagram, BOOL, len(up), *model)

@@ -1,8 +1,10 @@
 """Commutative semirings and dense matrices over them.
 
-Everything downstream (automata, diagram evaluation, path counting) runs
-through the two instances BOOL and NAT.  No operation here ever subtracts,
-so the code is valid over any commutative semiring.
+The two instances are BOOL and NAT.  Automata and diagram evaluation work
+on sparse rows and tensors over a semiring and return a ``Mat`` built once
+at the end; the dense kernels here are for the matrices themselves.  No
+operation here ever subtracts, so the code is valid over any commutative
+semiring.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ class Mat:
     """Dense matrix over a semiring, entries stored row-major.
 
     Values are immutable after construction and safe to share across
-    threads.  Multiplication over BOOL packs rows into int bitmasks, so
-    desk-scale dimensions (a few thousand) stay cheap.
+    threads.
     """
 
     ring: Semiring
@@ -95,47 +96,16 @@ class Mat:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.ring is BOOL:
-            return self._matmul_bool(other)
-        return self._matmul_generic(other)
-
-    def _matmul_bool(self, other: Mat) -> Mat:
-        k, c = self.cols, other.cols
-        # pack each row of the right factor into one bitmask
-        masks = []
-        ent = other.entries
-        for t in range(k):
-            m = 0
-            base = t * c
-            for j in range(c):
-                if ent[base + j]:
-                    m |= 1 << j
-            masks.append(m)
-        out = []
-        mine = self.entries
-        for i in range(self.rows):
-            base = i * k
-            acc = 0
-            for t in range(k):
-                if mine[base + t]:
-                    acc |= masks[t]
-            out.extend((acc >> j) & 1 for j in range(c))
-        return Mat(BOOL, self.rows, c, tuple(out))
-
-    def _matmul_generic(self, other: Mat) -> Mat:
-        k, c = self.cols, other.cols
+        c = other.cols
         ring = self.ring
         zero, add, mul = ring.zero, ring.add, ring.mul
         out = []
         for i in range(self.rows):
-            arow = self.row(i)
-            for j in range(c):
-                acc = zero
-                for t in range(k):
-                    x = arow[t]
-                    if x != zero:
-                        acc = add(acc, mul(x, other.entries[t * c + j]))
-                out.append(acc)
+            acc = [zero] * c
+            for t, x in enumerate(self.row(i)):
+                if x != zero:
+                    acc = [add(s, mul(x, y)) for s, y in zip(acc, other.row(t))]
+            out.extend(acc)
         return Mat(ring, self.rows, c, tuple(out))
 
     def transpose(self) -> Mat:

@@ -7,7 +7,8 @@ lattice under union and intersection, and every lattice endomorphism that
 respects unions is determined by its values on the U_x, subject to
 monotonicity.  A T-automaton runs letters as such endomorphisms, with an
 open initial set and a closed accepting set; for a discrete space this is
-exactly a nondeterministic finite automaton.
+exactly a nondeterministic finite automaton, and words run through the
+automaton's subset walk: a letter sends U_x to T(U_x).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .automaton import Nfa, as_word, json_list
+from .automaton import Nfa, checked_word, json_list, walk
 from .errors import CapacityError
 
 OPENS_CAP = 1 << 16
@@ -392,27 +393,37 @@ class TAutomaton:
         """No letters, empty decorations; enough to evaluate foam diagrams."""
         return cls(space, (), frozenset(), frozenset(), {})
 
-    def letter(self, a) -> Endo:
-        if a not in self.letters:
-            raise KeyError(f"unknown letter {a!r}")
-        return self.letters[a]
+    @cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.space.points)}
 
-    def word_endo(self, w) -> Endo:
-        out = Endo.identity(self.space)
-        for a in as_word(w):
-            out = out.then(self.letter(a))
-        return out
+    @cached_property
+    def _up(self) -> list:
+        """The indices of U_x, one set per point index."""
+        idx = self._index
+        return [{idx[y] for y in self.space.min_open[x]} for x in self.space.points]
+
+    @cached_property
+    def _rows(self) -> dict:
+        """letter -> the indices of T(U_x), one set per point index."""
+        idx = self._index
+        return {
+            a: [{idx[y] for y in t.image[x]} for x in self.space.points]
+            for a, t in self.letters.items()
+        }
 
     def interval_eval(self, w) -> bool:
         """True iff the accepting set meets the image of the initial set."""
-        s = self.initial_open
-        for a in as_word(w):
-            s = self.letter(a).apply(s)
-        return bool(s & self.accepting_closed)
+        word = checked_word(self._rows, w)
+        idx = self._index
+        reached = walk(self._rows, [idx[x] for x in self.initial_open], word)
+        return not reached.isdisjoint([idx[x] for x in self.accepting_closed])
 
     def trace_eval(self, w) -> bool:
         """True iff x lies in the word image of U_x for some point x."""
-        return self.word_endo(w).trace()
+        rows = self._rows
+        word = checked_word(rows, w)
+        return any(i in walk(rows, u, word) for i, u in enumerate(self._up))
 
     # -- JSON ---------------------------------------------------------------
 
@@ -454,7 +465,7 @@ def discrete(nfa: Nfa) -> TAutomaton:
     states; evaluations agree with the Boolean matrix ones."""
     space = FinTop.discrete(nfa.states)
     letters = {
-        a: Endo(space, {q: nfa.successors([q], a) for q in nfa.states})
+        a: Endo(space, {q: nfa._succ.get((q, a), ()) for q in nfa.states})
         for a in nfa.alphabet
     }
     return TAutomaton.make(space, nfa.alphabet, nfa.initial, nfa.accepting, letters)

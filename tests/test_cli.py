@@ -270,3 +270,54 @@ def test_map_file_that_is_not_an_object_is_input_error(tmp_path, capsys):
 def test_map_vertices_that_are_not_an_object_is_input_error(tmp_path, capsys):
     data = {"vertices": [1]}
     assert _cover_file_exit_code(tmp_path, capsys, "check", data) == 2
+
+
+def _diagram_exit_code(tmp_path, capsys, data):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "eval", "--automaton", A2_PATH, "--diagram", str(path))[0]
+
+
+def test_diagram_slices_that_are_not_a_list_is_input_error(tmp_path, capsys):
+    assert _diagram_exit_code(tmp_path, capsys, {"slices": 5}) == 2
+
+
+def test_diagram_slice_that_is_not_a_list_is_input_error(tmp_path, capsys):
+    assert _diagram_exit_code(tmp_path, capsys, {"slices": [5]}) == 2
+
+
+def test_dot_letter_that_is_not_a_string_is_input_error(tmp_path, capsys):
+    dot = {"gen": "dot", "sign": "+", "letter": ["a"]}
+    ends = [{"gen": "birth", "sign": "+"}], [{"gen": "death", "sign": "+"}]
+    data = {"slices": [ends[0], [dot], ends[1]]}
+    assert _diagram_exit_code(tmp_path, capsys, data) == 2
+
+
+def test_huge_cyclic_cover_is_refused_before_it_is_built(tmp_path, capsys):
+    code, _, err = run(capsys, "cover", "cyclic", "--automaton", A2_PATH, "--order",
+                       "q1,q2", "--n", str(10**9), "--out", str(tmp_path / "c.json"))
+    assert code == 4
+    assert "cap" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_huge_voltage_cover_is_refused_before_it_is_built(tmp_path, capsys):
+    code, _, _ = run(capsys, "cover", "voltage", "--automaton", A2_PATH,
+                     "--n", str(10**9), "--out", str(tmp_path / "v.json"))
+    assert code == 4
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_oracle_sweep_negative_length_is_input_error(capsys):
+    code, out, _ = run(capsys, "oracle", "sweep", "--automaton", A2_PATH,
+                       "--max-len", "-1")
+    assert (code, out) == (2, "")
+
+
+def test_oracle_sweep_over_the_word_cap_is_refused(capsys):
+    # 2^17 - 1 words of length <= 16 over two letters, and far more at 10^9
+    for length in ("16", str(10**9)):
+        code, out, err = run(capsys, "oracle", "sweep", "--automaton", A2_PATH,
+                             "--max-len", length)
+        assert (code, out) == (4, "")
+        assert "65536" in err

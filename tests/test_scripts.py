@@ -18,3 +18,25 @@ def test_foam_check_reports_every_law_and_closed_foam():
     assert ["closed", "foams", "240/240", "evaluate", "to", "1"] in [
         line.split() for line in lines
     ]
+
+
+def test_trace_shrink_marks_exponents_divisible_by_the_cover_cycle():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "trace_shrink.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    # a failed interval assertion inside the script exits nonzero
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["n", "|"])
+    exponents = [int(k) for k in lines[start].split()[2:]]
+    rows = {}
+    for line in lines[start + 2:]:
+        n, bar, *marks = line.split()
+        if bar != "|":
+            break
+        rows[int(n)] = marks
+    assert sorted(rows) == [1, 2, 3, 4, 5, 6]
+    for n, marks in rows.items():
+        # the n-fold cover of the 2-cycle is one cycle of length 2n
+        assert marks == ["*" if k % (2 * n) == 0 else "." for k in exponents], n

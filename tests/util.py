@@ -2,7 +2,7 @@
 
 import itertools
 
-from autcob import Nfa
+from autcob import Nfa, as_word
 from autcob.diagrams import (
     COUNIT,
     MERGE,
@@ -272,6 +272,15 @@ def random_closed_diagram(
 
 # -- dense reference evaluator --------------------------------------------------
 #
+def dense_word_matrix(nfa, w, ring=BOOL) -> Mat:
+    """nfa.word_matrix(w, ring), as the ordered product of the letter
+    matrices by dense ``Mat`` multiplication; it never walks."""
+    m = identity(ring, len(nfa.states))
+    for a in as_word(w):
+        m = m @ nfa.letter_matrix(a, ring)
+    return m
+
+
 # Evaluation as a product of whole-boundary layers: every slice is the
 # Kronecker product of its generators' dense images, multiplied into the
 # running matrix.  Slow and memory-hungry, but written straight from the
@@ -358,7 +367,7 @@ def dense_eval_tautomaton(taut, diagram) -> Mat:
                 return d(1, 1, lambda o, i: o[0] in U[i[0]])
             return d(1, 1, lambda o, i: i[0] in U[o[0]])
         if k == "dot":
-            t = taut.letter(g.letter).image
+            t = taut.letters[g.letter].image
             if s == "+":
                 return d(1, 1, lambda o, i: o[0] in t[i[0]])
             return d(1, 1, lambda o, i: i[0] in t[o[0]])
