@@ -279,12 +279,7 @@ class Nfa:
         """
         out, into = self._edges
         on_path = self._reach(self.initial, out) & self._reach(self.accepting, into)
-        on_loop = {
-            q
-            for q in self.states
-            if q not in on_path and q in self._reach((r for _, r in out[q]), out)
-        }
-        core = on_path | on_loop
+        core = on_path | self._on_loop()
         if not core and self.states:
             # a nonempty automaton always traces the empty word, the empty
             # one never does; keep a single bare state so both evaluations
@@ -297,6 +292,45 @@ class Nfa:
             self.initial & core,
             self.accepting & core,
         )
+
+    def _on_loop(self) -> set:
+        """The states on an oriented loop: those that carry a self-loop or
+        share a strongly connected component with another state.  One
+        iterative pass of Tarjan's algorithm over ``_edges``."""
+        out = self._edges[0]
+        loops = {q for q, _, r in self.delta if q == r}
+        index, low, stack, on_stack = {}, {}, [], set()
+        for root in self.states:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(out[root]))]
+            while work:
+                q, edges = work[-1]
+                for _, r in edges:
+                    if r not in index:
+                        index[r] = low[r] = len(index)
+                        stack.append(r)
+                        on_stack.add(r)
+                        work.append((r, iter(out[r])))
+                        break
+                    if r in on_stack:
+                        low[q] = min(low[q], index[r])
+                else:
+                    work.pop()
+                    if work:
+                        p = work[-1][0]
+                        low[p] = min(low[p], low[q])
+                    if low[q] == index[q]:
+                        component = [stack.pop()]
+                        while component[-1] != q:
+                            component.append(stack.pop())
+                        on_stack.difference_update(component)
+                        if len(component) > 1:
+                            loops.update(component)
+        return loops
 
     @staticmethod
     def _reach(seeds: Iterable, edges: dict) -> set:
@@ -339,23 +373,22 @@ class Nfa:
             raise ValueError(f"missing keys {sorted(missing)}")
         if not isinstance(data["transitions"], list):
             raise ValueError("'transitions' must be a list")
-        delta = []
+        delta = set()
         for t in data["transitions"]:
-            if (
-                not isinstance(t, dict)
-                or set(t) != _TRANSITION_KEYS
-                or not all(isinstance(v, str) for v in t.values())
-            ):
-                raise ValueError(
-                    f"transition must be an object of strings from/letter/to, got {t!r}"
-                )
-            delta.append((t["from"], t["letter"], t["to"]))
-        return cls.make(
-            json_list(data, "states"),
-            json_list(data, "alphabet"),
-            delta,
-            json_list(data, "initial"),
-            json_list(data, "accepting"),
+            if isinstance(t, dict) and t.keys() == _TRANSITION_KEYS:
+                q, a, r = t["from"], t["letter"], t["to"]
+                if isinstance(q, str) and isinstance(a, str) and isinstance(r, str):
+                    delta.add((q, a, r))
+                    continue
+            raise ValueError(
+                f"transition must be an object of strings from/letter/to, got {t!r}"
+            )
+        return cls(
+            tuple(json_list(data, "states")),
+            tuple(json_list(data, "alphabet")),
+            frozenset(delta),
+            frozenset(json_list(data, "initial")),
+            frozenset(json_list(data, "accepting")),
         )
 
     @classmethod

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import product
 
 from .automaton import Nfa
@@ -17,7 +18,7 @@ from .covers import is_weak_covering, voltage_cover
 from .diagrams import Diagram, parse_diagram
 from .errors import CapacityError, DiagramTypeError, ParseError
 from .evaluate import eval_nfa, eval_tautomaton
-from .oracle import chain_map_sum, circle_map_sum
+from .oracle import chain_map_sum, check_caps, circle_map_sum
 from .semiring import BOOL, NAT
 from .topology import TAutomaton
 
@@ -56,8 +57,10 @@ def _load_diagram(path: str) -> Diagram:
 
 
 def _write_automaton(nfa: Nfa, path: str):
+    """One line of compact JSON: json.dumps without ``indent`` runs the C
+    encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(nfa.to_json(indent=2))
+        fh.write(nfa.to_json())
         fh.write("\n")
 
 
@@ -169,7 +172,10 @@ def _cmd_oracle_sweep(args) -> int:
     count = 1 + k * top if k < 2 else (k ** (min(top, 64) + 1) - 1) // (k - 1)
     if count > MAX_SWEEP_WORDS:
         raise CapacityError(f"more than {MAX_SWEEP_WORDS} words up to length {top}")
-    lengths = range(top + 1 if k else 1)
+    longest = top if k else 0
+    # the map sums refuse long words and large automata: refuse before the sweep
+    check_caps(nfa, longest)
+    lengths = range(longest + 1)
     words = (w for n in lengths for w in product(nfa.alphabet, repeat=n))
     bad = 0
     for w in words:
@@ -193,7 +199,10 @@ def _cmd_oracle_sweep(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  ``parse_args``
+    leaves it unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(prog="autcob")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # usage error (2) or --help (0)
+        return e.code
     try:
         return args.func(args)
     except CapacityError as e:

@@ -19,9 +19,12 @@ DEFAULT_WORD_CAP = 8
 DEFAULT_STATE_CAP = 8
 
 
-def _check_caps(nfa: Nfa, word, max_len, max_states):
-    if len(word) > max_len:
-        raise CapacityError(f"word length {len(word)} exceeds cap {max_len}")
+def check_caps(nfa: Nfa, length: int, max_len=DEFAULT_WORD_CAP,
+               max_states=DEFAULT_STATE_CAP):
+    """Refuse a word of ``length`` letters on ``nfa`` past the caps of the
+    map sums, which enumerate up to ``states ** length`` paths."""
+    if length > max_len:
+        raise CapacityError(f"word length {length} exceeds cap {max_len}")
     if len(nfa.states) > max_states:
         raise CapacityError(f"{len(nfa.states)} states exceed cap {max_states}")
 
@@ -41,7 +44,7 @@ def chain_map_sum(
     interval evaluation; over NAT it counts accepting paths.
     """
     word = as_word(w)
-    _check_caps(nfa, word, max_len, max_states)
+    check_caps(nfa, len(word), max_len, max_states)
     succ = nfa._succ
 
     def tails(i, q):
@@ -76,7 +79,7 @@ def circle_map_sum(
     basepoint edge; the result does not depend on the choice.
     """
     word = as_word(w)
-    _check_caps(nfa, word, max_len, max_states)
+    check_caps(nfa, len(word), max_len, max_states)
     if not word:
         total = ring.zero
         for _ in nfa.states:

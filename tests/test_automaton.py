@@ -208,6 +208,27 @@ def test_trim_matches_the_delta_scanning_reference(seed, density):
     assert nfa.trim() == reference_trim(nfa)
 
 
+def test_trim_keeps_off_path_loops_and_self_loops():
+    # a chain of 2-cycles that no initial state reaches, joined by one-way
+    # edges, with a self-loop on every third link and a dead end at each joint
+    n = 60
+    states = [f"s{i}" for i in range(2 * n)] + [f"dead{i}" for i in range(n)]
+    delta = []
+    for i in range(n):
+        x, y = f"s{2 * i}", f"s{2 * i + 1}"
+        delta += [(x, "a", y), (y, "b", x), (y, "a", f"dead{i}")]
+        if i + 1 < n:
+            delta.append((y, "b", f"s{2 * i + 2}"))
+        if i % 3 == 0:
+            delta.append((f"dead{i}", "b", f"dead{i}"))
+    nfa = Nfa.make(["init", *states], ["a", "b"], delta, ["init"], ["s0"])
+    trimmed = nfa.trim()
+    assert trimmed == reference_trim(nfa)
+    assert set(trimmed.states) == set(states) - {
+        f"dead{i}" for i in range(n) if i % 3
+    }
+
+
 # -- disjoint union --------------------------------------------------------------
 
 

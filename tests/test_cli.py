@@ -1,8 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from autcob import cli
 from autcob.cli import cli_word, main
 from autcob.automaton import Nfa
+from autcob.covers import cyclic_cover, voltage_cover
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 A2_PATH = str(SAMPLES / "two_state.json")
@@ -14,6 +18,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _written(tmp_path, capsys, *argv):
+    """The automaton a command writes to --out: one line of JSON."""
+    out_path = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    text = out_path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    return Nfa.from_json(text)
 
 
 def test_cli_word_parsing():
@@ -93,10 +107,8 @@ def test_trim_writes_automaton(tmp_path, capsys):
         ["q0"], ["q1"],
     )
     src.write_text(nfa.to_json())
-    out_path = tmp_path / "out.json"
-    code, _, _ = run(capsys, "trim", "--automaton", str(src), "--out", str(out_path))
-    assert code == 0
-    trimmed = Nfa.from_json(out_path.read_text())
+    trimmed = _written(tmp_path, capsys, "trim", "--automaton", str(src))
+    assert trimmed == nfa.trim()
     assert set(trimmed.states) == {"q0", "q1"}
 
 
@@ -321,3 +333,76 @@ def test_oracle_sweep_over_the_word_cap_is_refused(capsys):
                              "--max-len", length)
         assert (code, out) == (4, "")
         assert "65536" in err
+
+
+def test_oracle_sweep_past_the_oracle_word_cap_is_refused_before_sweeping(capsys):
+    # 2^16 - 1 words fit the sweep cap, but the oracles stop at 8 letters
+    code, out, err = run(capsys, "oracle", "sweep", "--automaton", A2_PATH,
+                         "--max-len", "15")
+    assert (code, out) == (4, "")
+    assert err == "error: word length 15 exceeds cap 8\n"
+
+
+def test_oracle_sweep_of_too_many_states_is_refused(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(Nfa.make([f"q{i}" for i in range(9)], ["a"], [], [], []).to_json())
+    code, out, err = run(capsys, "oracle", "sweep", "--automaton", str(path))
+    assert (code, out) == (4, "")
+    assert err == "error: 9 states exceed cap 8\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_returns_2_and_leaves_the_parser_usable(capsys):
+    code, out, err = run(capsys, "member", "--automaton", A2_PATH)
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --word" in err
+    code, out, _ = run(capsys, "member", "--automaton", A2_PATH, "--word", "a")
+    assert (code, out.strip()) == (0, "1")
+
+
+def test_help_returns_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: autcob")
+
+
+def test_cyclic_cover_file_round_trips(tmp_path, capsys):
+    got = _written(tmp_path, capsys, "cover", "cyclic", "--automaton", A2_PATH,
+                   "--order", "q2,q1", "--n", "3")
+    assert got == cyclic_cover(Nfa.from_json(Path(A2_PATH).read_text()), ["q2", "q1"], 3)
+
+
+def test_voltage_cover_file_round_trips(tmp_path, capsys):
+    volt_path = tmp_path / "volt.json"
+    volt_path.write_text(json.dumps({"assignments": [
+        {"from": "q2", "letter": "b", "to": "q2", "perm": [1, 2, 0]},
+    ]}))
+    got = _written(tmp_path, capsys, "cover", "voltage", "--automaton", A2_PATH,
+                   "--n", "3", "--voltages", str(volt_path))
+    base = Nfa.from_json(Path(A2_PATH).read_text())
+    voltages = {e: (0, 1, 2) for e in base.delta}
+    voltages[("q2", "b", "q2")] = (1, 2, 0)
+    assert got == voltage_cover(base, 3, voltages)
+
+
+_TRANSITION = {"from": "q", "letter": "a", "to": "q"}
+
+
+@pytest.mark.parametrize("transition", [
+    *({**_TRANSITION, key: value}
+      for key in ("from", "letter", "to") for value in (1, None, ["q"])),
+    {**_TRANSITION, "weight": "1"},
+    {"from": "q", "letter": "a"},
+])
+def test_malformed_transition_is_input_error(tmp_path, capsys, transition):
+    data = {"states": ["q"], "alphabet": ["a"], "transitions": [transition],
+            "initial": ["q"], "accepting": ["q"]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "member", "--automaton", str(path), "--word", "a")
+    assert (code, out) == (2, "")
+    assert err == ("error: transition must be an object of strings "
+                   f"from/letter/to, got {transition!r}\n")
