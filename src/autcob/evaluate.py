@@ -17,8 +17,18 @@ evaluator keeps one sparse running tensor, a dict from (current boundary
 basis tuple, domain column) to its nonzero value, and contracts wire by
 wire: each generator acts on its own 0-2 wires through a table from the
 basis tuple on its inputs to (output tuple, value) pairs, identity wires
-pass their index through, and a swap exchanges two indices.  The dense
-matrix is built once, at the end.
+pass their index through, and a swap exchanges two indices.
+
+A disjoint union evaluates to the tensor product of its parts, so pieces
+that share no wire are never contracted together.  One union-find pass
+over the wire segments splits the diagram into connected components (a
+swap joins nothing; one between two components is an identity wire in
+each), and each component runs through its own running tensor.  A closed
+diagram's value is the product of the component scalars, and a component
+that evaluates to zero ends the loop.  An open diagram's nonzeros are the
+products of one nonzero from each component, each placed at the sum of its
+wires' offsets in the result, and the dense matrix is written once, at
+the end.
 
 Every wire carries one module model: the free module on a finite basis
 (states or points) with a minimal open set U_x around each basis element,
@@ -42,7 +52,7 @@ from functools import cache
 from itertools import product
 
 from .automaton import Nfa, as_word
-from .diagrams import _FOAM, Diagram, Gen, circle_diagram, interval_diagram
+from .diagrams import _FOAM, Diagram, Gen, circle_diagram, ident, interval_diagram
 from .errors import CapacityError
 from .semiring import BOOL, Mat, Semiring
 from .topology import TAutomaton
@@ -63,16 +73,13 @@ class Evaluation:
         return self.matrix.entries[0]
 
 
-def _guard(n, dom_width, widest):
-    """Refuse before allocating.  Over a boundary of width w the running
-    tensor holds at most n^(w + |dom|) entries; the codomain is the last
-    boundary, so this also bounds the result's n^(|cod| + |dom|)."""
-    size = n ** (widest + dom_width)
+def _guard(n, what, wires, size_wires):
+    """Refuse before allocating: ``what`` needs n^size_wires entries."""
+    size = n ** size_wires
     if size > MAX_DIM_PRODUCT:
         raise CapacityError(
-            f"evaluation needs up to {size} entries ({n} basis elements per"
-            f" wire, {widest} boundary and {dom_width} domain wires),"
-            f" over the cap of {MAX_DIM_PRODUCT}"
+            f"{what} needs up to {size} entries ({n} basis elements per"
+            f" wire, {wires}), over the cap of {MAX_DIM_PRODUCT}"
         )
 
 
@@ -131,16 +138,80 @@ def _apply(ring, tensor, pos, width, table) -> dict:
     return out
 
 
-def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluation:
-    """``wire`` maps each sign to the table of its identity wire, or is None
-    when every identity wire is the identity; ``gen_image(g)`` is the table
-    of any other generator."""
-    dom, cod = diagram.typecheck()
-    widest = max(
-        [len(dom)] + [sum(len(g.outputs()) for g in slc) for slc in diagram.slices]
-    )
-    _guard(n, len(dom), widest)
-    # keys are the boundary basis tuple followed by the domain column
+def _components(diagram: Diagram, dom, cod) -> list:
+    """Split a typechecked diagram into its connected components.
+
+    One pass threads the wire segments through the slices with a
+    union-find: identity wires and swaps carry their segments through, and
+    every other generator joins all its input and output segments.  Each
+    component, in the order its first segment is met (domain wires left to
+    right, then slice by slice), comes back as its domain positions, its
+    slices and its codomain positions.  A swap whose strands lie in
+    different components is an identity wire in each.  A connected
+    diagram comes back whole."""
+    parent = list(range(len(dom)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    boundary = list(range(len(dom)))
+    marks = []  # per slice, per generator: a segment it touches (a swap: both)
+    for slc in diagram.slices:
+        out, row, pos = [], [], 0
+        for g in slc:
+            if g.kind == "id":
+                out.append(boundary[pos])
+                row.append((boundary[pos],))
+                pos += 1
+            elif g.kind == "swap":
+                a, b = boundary[pos], boundary[pos + 1]
+                out += (b, a)
+                row.append((a, b))
+                pos += 2
+            else:
+                end = pos + len(g.inputs())
+                segs = boundary[pos:end]
+                new = range(len(parent), len(parent) + len(g.outputs()))
+                parent.extend(new)
+                segs += new
+                root = find(segs[0])
+                for x in segs[1:]:
+                    parent[find(x)] = root
+                out += new
+                row.append(segs[:1])
+                pos = end
+        marks.append(row)
+        boundary = out
+    order = {}
+    for x in range(len(parent)):
+        order.setdefault(find(x), len(order))
+    if len(order) <= 1:
+        return [(range(len(dom)), diagram.slices, range(len(cod)))]
+    comp = [order[find(x)] for x in range(len(parent))]
+    parts = [([], [], []) for _ in order]
+    for i in range(len(dom)):
+        parts[comp[i]][0].append(i)
+    for slc, row in zip(diagram.slices, marks):
+        split = {}
+        for g, segs in zip(slc, row):
+            if g.kind == "swap" and comp[segs[0]] != comp[segs[1]]:
+                split.setdefault(comp[segs[0]], []).append(ident(g.sign))
+                split.setdefault(comp[segs[1]], []).append(ident(g.sign2))
+            else:
+                split.setdefault(comp[segs[0]], []).append(g)
+        for c, gens in split.items():
+            parts[c][1].append(gens)
+    for j, x in enumerate(boundary):
+        parts[comp[x]][2].append(j)
+    return parts
+
+
+def _contract(ring, n, wire, image, dom, slices) -> dict:
+    """The nonzeros of one connected diagram, keyed by its codomain basis
+    tuple followed by its domain column."""
     tensor = {
         d + (col,): ring.one
         for col, d in enumerate(product(range(n), repeat=len(dom)))
@@ -148,17 +219,53 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
     if wire is not None:
         for pos, sign in enumerate(dom):
             tensor = _apply(ring, tensor, pos, 1, wire[sign])
-    image = cache(gen_image)
-    for slc in diagram.slices:
+    for slc in slices:
         for pos, width, table in _steps(slc, image):
             tensor = _apply(ring, tensor, pos, width, table)
+    return tensor
+
+
+def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluation:
+    """``wire`` maps each sign to the table of its identity wire, or is None
+    when every identity wire is the identity; ``gen_image(g)`` is the table
+    of any other generator.  Before anything is allocated, the result and
+    each component's running tensor (n^(widest boundary + |domain|)) are
+    held to ``MAX_DIM_PRODUCT``."""
+    dom, cod = diagram.typecheck()
+    _guard(n, "the result", f"{len(cod)} codomain and {len(dom)} domain wires",
+           len(cod) + len(dom))
+    parts = _components(diagram, dom, cod)
+    for k, (dpos, slices, _) in enumerate(parts, 1):
+        widest = max([len(dpos)] + [sum(len(g.outputs()) for g in s) for s in slices])
+        _guard(n, f"component {k} of {len(parts)}",
+               f"{widest} boundary and {len(dpos)} domain wires", widest + len(dpos))
     rows, cols = n ** len(cod), n ** len(dom)
+    image = cache(gen_image)
+    mul = ring.mul
+    found = None  # (flat offset, value) for each nonzero of the result so far
+    for dpos, slices, cpos in parts:
+        tensor = _contract(ring, n, wire, image, [dom[p] for p in dpos], slices)
+        # each wire's digit times the stride of its place in the result
+        offsets = [0]
+        for p in dpos:
+            stride = n ** (len(dom) - 1 - p)
+            offsets = [o + x * stride for o in offsets for x in range(n)]
+        strides = [n ** (len(cod) - 1 - p) * cols for p in cpos]
+        nonzeros = []
+        for key, v in tensor.items():
+            r = offsets[key[-1]]
+            for x, stride in zip(key, strides):
+                r += x * stride
+            nonzeros.append((r, v))
+        if found is None:
+            found = nonzeros
+        else:
+            found = [(o1 + o2, mul(v1, v2)) for o1, v1 in found for o2, v2 in nonzeros]
+        if not found:
+            break
     ent = [ring.zero] * (rows * cols)
-    for key, v in tensor.items():
-        r = 0
-        for x in key[:-1]:
-            r = r * n + x
-        ent[r * cols + key[-1]] = v
+    for r, v in found:
+        ent[r] = v
     return Evaluation(Mat(ring, rows, cols, tuple(ent)))
 
 

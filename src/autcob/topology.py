@@ -90,15 +90,19 @@ class FinTop:
             raise ValueError(f"unknown point {x!r}")
         return self._closures[x]
 
+    @cached_property
+    def _point_set(self) -> frozenset:
+        return frozenset(self.points)
+
     def is_open(self, members) -> bool:
         s = frozenset(members)
-        unknown = s - set(self.points)
+        unknown = s - self._point_set
         if unknown:
             raise ValueError(f"unknown points {sorted(unknown)}")
         return all(self.min_open[x] <= s for x in s)
 
     def is_closed(self, members) -> bool:
-        return self.is_open(set(self.points) - frozenset(members))
+        return self.is_open(self._point_set - frozenset(members))
 
     def open_set(self, members) -> OpenSet:
         return OpenSet(self, frozenset(members))

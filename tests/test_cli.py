@@ -234,6 +234,19 @@ def test_exit_code_capacity(tmp_path, capsys):
     assert code == 4
 
 
+def test_side_by_side_circles_fit_where_their_tensor_would_not(tmp_path, capsys):
+    # each circle is two wires wide (33^2 entries); both together were 33^4
+    wide = tmp_path / "wide.json"
+    wide.write_text(
+        Nfa.make([f"q{i}" for i in range(33)], ["a"], [], [], []).to_json()
+    )
+    d = tmp_path / "circles.txt"
+    d.write_text("cup+ cup+ ; cap+ cap+\n")
+    code, out, _ = run(capsys, "eval", "--automaton", str(wide), "--diagram", str(d))
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_parse_error_is_input_error(tmp_path, capsys):
     d = tmp_path / "oops.txt"
     d.write_text("dot()\n")

@@ -45,6 +45,7 @@ from util import (
     all_words,
     dense_eval_nfa,
     dense_eval_tautomaton,
+    dense_word_matrix,
     random_closed_diagram,
     random_diagram,
     random_nfa,
@@ -133,12 +134,16 @@ def test_contraction_matches_dense_layers_on_tautomata(seed):
     assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
 
 
-def test_two_side_by_side_circles_on_twelve_states():
+def twelve_state_cycle():
     # a turns a 12-cycle one step; b jumps back three steps or stays at q0
     states = [f"q{i}" for i in range(12)]
     delta = [(states[i], "a", states[(i + 1) % 12]) for i in range(12)]
     delta += [(states[i], "b", states[i - 3]) for i in range(12)]
-    nfa = Nfa.make(states, ["a", "b"], delta + [("q0", "b", "q0")], [], [])
+    return Nfa.make(states, ["a", "b"], delta + [("q0", "b", "q0")], [], [])
+
+
+def test_two_side_by_side_circles_on_twelve_states():
+    nfa = twelve_state_cycle()
     wants = set()
     for u, v in [("aaab", "b"), ("ab", "b"), ("aab", "aaab"), ("a", "ba")]:
         d = tensor(circle_diagram(u), circle_diagram(v))
@@ -164,9 +169,10 @@ def test_functoriality_under_compose_and_tensor(seed1, seed2):
     right = eval_nfa(nfa, d2).matrix @ eval_nfa(nfa, d1).matrix
     assert left == right
     d3 = random_diagram(random.Random(seed2 + 1), letters=nfa.alphabet, max_width=2, max_slices=3)
-    assert eval_nfa(nfa, tensor(d1, d3)).matrix == kron(
-        eval_nfa(nfa, d1).matrix, eval_nfa(nfa, d3).matrix
-    )
+    for ring in (BOOL, NAT):
+        assert eval_nfa(nfa, tensor(d1, d3), ring).matrix == kron(
+            eval_nfa(nfa, d1, ring).matrix, eval_nfa(nfa, d3, ring).matrix
+        )
 
 
 @settings(max_examples=15, deadline=None)
@@ -181,6 +187,13 @@ def test_functoriality_for_spaces(seed1, seed2):
     )
     left = eval_tautomaton(taut, compose(d1, d2)).matrix
     assert left == eval_tautomaton(taut, d2).matrix @ eval_tautomaton(taut, d1).matrix
+    d3 = random_diagram(
+        random.Random(seed2 + 1), letters=taut.alphabet, max_width=2,
+        max_slices=3, foam=True,
+    )
+    assert eval_tautomaton(taut, tensor(d1, d3)).matrix == kron(
+        eval_tautomaton(taut, d1).matrix, eval_tautomaton(taut, d3).matrix
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -400,11 +413,79 @@ def test_guard_bounds_the_result_before_evaluating(monkeypatch):
 
 
 def test_guard_bounds_the_widest_boundary():
-    # domain and codomain are one wire; the middle holds four
-    four = Nfa.make([f"q{i}" for i in range(16)], ["a"], [], [], [])
+    # a connected zigzag: domain and codomain are one wire, the middle five
+    sixteen = Nfa.make([f"q{i}" for i in range(16)], ["a"], [], [], [])
+    d = Diagram.make(
+        [[ident("+"), cup("-"), cup("-")], [cap("+"), cap("+"), ident("+")]],
+        domain=("+",),
+    )
+    with pytest.raises(CapacityError, match=str(16**6)):
+        eval_nfa(sixteen, d)
+
+
+def test_side_by_side_circles_beside_a_wire_are_the_identity():
+    # three components, none wider than two wires
+    sixteen = Nfa.make([f"q{i}" for i in range(16)], ["a"], [], [], [])
     d = Diagram.make(
         [[ident("+"), cup("+"), cup("+")], [ident("+"), cap("+"), cap("+")]],
         domain=("+",),
     )
-    with pytest.raises(CapacityError, match=str(16**6)):
-        eval_nfa(four, d)
+    assert eval_nfa(sixteen, d).matrix == identity(BOOL, 16)
+
+
+def test_guard_names_the_component_over_the_cap(monkeypatch):
+    # a bare circle, then a connected closed diagram four wires wide:
+    # 33^4 entries, while the circle and the scalar result fit
+    wide = Nfa.make([f"q{i}" for i in range(33)], ["a"], [], [], [])
+    four = Diagram.make([[cup("+")], [ident("+"), cup("-"), ident("-")], [cap("+"), cap("+")]])
+    d = tensor(circle_diagram(""), four)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the guard")
+
+    monkeypatch.setattr(evaluate, "product", no_allocation)
+    with pytest.raises(CapacityError) as err:
+        eval_nfa(wide, d)
+    assert "component 2 of 2" in str(err.value)
+    assert str(33**4) in str(err.value)
+
+
+def test_three_side_by_side_circles_on_twelve_states():
+    nfa = twelve_state_cycle()
+    words = [("aaab", "b", "a"), ("ab", "aab", "aaab"), ("", "b", "bb"), ("a", "ba", "")]
+    wants = set()
+    for u, v, w in words:
+        d = tensor(tensor(circle_diagram(u), circle_diagram(v)), circle_diagram(w))
+        want = nfa.trace_eval(u) and nfa.trace_eval(v) and nfa.trace_eval(w)
+        assert eval_nfa(nfa, d).scalar() == int(want)
+        wants.add(want)
+        counts = 1
+        for x in (u, v, w):
+            counts *= dense_word_matrix(nfa, x, NAT).trace()
+        assert eval_nfa(nfa, d, NAT).scalar() == counts
+    assert wants == {True, False}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_strands_crossing_between_components_match_dense_layers(seed):
+    # four components: three through-strands and a circle with a dot on
+    # each side; the first strand crosses the second and both sides of the
+    # circle
+    rng = random.Random(seed)
+    nfa = random_nfa(rng, max_states=3, min_states=2, density=0.6)
+    a, b, c, e, f = (rng.choice(nfa.alphabet) for _ in range(5))
+    d = Diagram.make(
+        [
+            [dot(a, "+"), ident("+"), cup("-"), dot(b, "-")],
+            [swap("+", "+"), dot(c, "-"), ident("+"), ident("-")],
+            [ident("+"), swap("+", "-"), dot(f, "+"), ident("-")],
+            [ident("+"), ident("-"), swap("+", "+"), ident("-")],
+            [ident("+"), cap("-"), dot(e, "+"), ident("-")],
+        ],
+        domain=("+", "+", "-"),
+    )
+    dom, cod = d.typecheck()
+    assert len(evaluate._components(d, dom, cod)) == 4
+    for ring in (BOOL, NAT):
+        assert eval_nfa(nfa, d, ring).matrix == dense_eval_nfa(nfa, d, ring)

@@ -40,6 +40,15 @@ def test_sierpinski_opens():
     assert S2.is_closed({"y"}) is True
 
 
+def test_open_check_names_unknown_points_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"unknown points \['z'\]"):
+            S2.is_open({"x", "z"})
+    assert S2.is_open(set()) is True
+    assert S2.is_closed({"x", "y"}) is True
+    assert S2.is_closed({"x"}) is False
+
+
 @settings(max_examples=30)
 @given(seeds)
 def test_opens_enumeration_matches_subset_filter(seed):
