@@ -139,13 +139,6 @@ class Nfa:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
-    def _succ(self) -> dict:
-        table = {}
-        for q, a, r in self.delta:
-            table.setdefault((q, a), set()).add(r)
-        return {k: frozenset(v) for k, v in table.items()}
-
-    @cached_property
     def _rows(self) -> dict:
         """letter -> the indices of each state's successors, by state index."""
         idx = self._index
@@ -178,15 +171,7 @@ class Nfa:
 
     def letter_matrix(self, a, ring: Semiring = BOOL) -> Mat:
         """M[q][r] = 1 iff r is an a-successor of q, rows in states order."""
-        if a not in self.alphabet:
-            raise KeyError(f"unknown letter {a!r}")
-        n = len(self.states)
-        ent = [ring.zero] * (n * n)
-        idx = self._index
-        for q in self.states:
-            for r in self._succ.get((q, a), ()):
-                ent[idx[q] * n + idx[r]] = ring.one
-        return Mat(ring, n, n, tuple(ent))
+        return self.word_matrix((a,), ring)
 
     def word_matrix(self, w, ring: Semiring = BOOL) -> Mat:
         """M[q][r] sums the paths from q to r spelling w: over NAT it counts

@@ -59,29 +59,19 @@ def check_cover_size(nfa: Nfa, n: int):
 
 def cyclic_cover(nfa: Nfa, order, n: int) -> Nfa:
     """Arrange the states around a circle in the given order and unroll n
-    times.  An edge winds once iff its target's position does not exceed
-    its source's (so a self-loop makes a full rotation); the lift of
-    q -> r from fiber k lands in fiber k + winding mod n.  Decorations are
-    lifted by full preimage.
+    times: the voltage cover where an edge winds once, lifting fiber k to
+    k + 1 mod n, iff its target's position does not exceed its source's
+    (so a self-loop makes a full rotation), and otherwise stays in fiber k.
+    Decorations are lifted by full preimage.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_cover_size(nfa, n)
     if sorted(order) != sorted(nfa.states) or len(order) != len(nfa.states):
         raise ValueError("order must be a permutation of the states")
+    check_cover_size(nfa, n)  # before the n-long voltages are built
     pos = {q: i for i, q in enumerate(order)}
-    states = [f"{q}@{k}" for q in nfa.states for k in range(n)]
-    delta = []
-    for q, a, r in nfa.delta:
-        w = 1 if pos[r] <= pos[q] else 0
-        for k in range(n):
-            delta.append((f"{q}@{k}", a, f"{r}@{(k + w) % n}"))
-    return Nfa.make(
-        states,
-        nfa.alphabet,
-        delta,
-        [f"{q}@{k}" for q in nfa.initial for k in range(n)],
-        [f"{q}@{k}" for q in nfa.accepting for k in range(n)],
+    stay = tuple(range(n))
+    wind = stay[1:] + stay[:1]
+    return voltage_cover(
+        nfa, n, {(q, a, r): wind if pos[r] <= pos[q] else stay for q, a, r in nfa.delta}
     )
 
 
@@ -96,7 +86,7 @@ def voltage_cover(nfa: Nfa, n: int, voltages: dict) -> Nfa:
     if missing:
         raise ValueError(f"no voltage for transitions {sorted(missing)}")
     for e, perm in voltages.items():
-        if sorted(perm) != list(range(n)):
+        if any(type(k) is not int for k in perm) or sorted(perm) != list(range(n)):
             raise ValueError(f"voltage for {e} is not a permutation of 0..{n - 1}")
     states = [f"{q}@{k}" for q in nfa.states for k in range(n)]
     delta = [

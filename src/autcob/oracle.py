@@ -29,6 +29,15 @@ def check_caps(nfa: Nfa, length: int, max_len=DEFAULT_WORD_CAP,
         raise CapacityError(f"{len(nfa.states)} states exceed cap {max_states}")
 
 
+def _successors(nfa: Nfa) -> dict:
+    """(state, letter) -> the targets of its transitions, built here from
+    ``delta`` so that the oracle reads no index of the code it checks."""
+    succ = {}
+    for q, a, r in nfa.delta:
+        succ.setdefault((q, a), []).append(r)
+    return succ
+
+
 def chain_map_sum(
     nfa: Nfa,
     w,
@@ -45,7 +54,7 @@ def chain_map_sum(
     """
     word = as_word(w)
     check_caps(nfa, len(word), max_len, max_states)
-    succ = nfa._succ
+    succ = _successors(nfa)
 
     def tails(i, q):
         if i == len(word):
@@ -86,7 +95,7 @@ def circle_map_sum(
             total = ring.add(total, ring.one)
         return total
     word = word[basepoint % len(word) :] + word[: basepoint % len(word)]
-    succ = nfa._succ
+    succ = _successors(nfa)
 
     def tails(i, q, home):
         if i == len(word):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations, product
 
 from .automaton import Nfa, checked_word, json_list, walk
 from .errors import CapacityError
@@ -94,15 +94,19 @@ class FinTop:
     def _point_set(self) -> frozenset:
         return frozenset(self.points)
 
-    def is_open(self, members) -> bool:
+    def _known(self, members) -> frozenset:
         s = frozenset(members)
         unknown = s - self._point_set
         if unknown:
             raise ValueError(f"unknown points {sorted(unknown)}")
+        return s
+
+    def is_open(self, members) -> bool:
+        s = self._known(members)
         return all(self.min_open[x] <= s for x in s)
 
     def is_closed(self, members) -> bool:
-        return self.is_open(self._point_set - frozenset(members))
+        return self.is_open(self._point_set - self._known(members))
 
     def open_set(self, members) -> OpenSet:
         return OpenSet(self, frozenset(members))
@@ -249,36 +253,33 @@ def space_from_preorder(points, pairs) -> FinTop:
 
 
 def minimal_spaces(n: int) -> list:
-    """All minimal spaces on n points, one per homeomorphism class."""
-    pts = tuple(f"x{i}" for i in range(n))
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    seen = set()
-    out = []
-    for bits in range(1 << len(off_diag)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
-        for b, (i, j) in enumerate(off_diag):
-            if bits >> b & 1:
-                rel[i][j] = True
-        if any(rel[i][j] and rel[j][i] for i, j in off_diag):
-            continue  # antisymmetry
-        if any(
-            rel[i][j] and rel[j][k] and not rel[i][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ):
-            continue  # transitivity
-        canon = min(
-            tuple(sorted((p[i], p[j]) for i, j in off_diag if rel[i][j]))
-            for p in permutations(range(n))
-        )
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(
-            FinTop.make(pts, {pts[j]: {pts[i] for i in range(n) if rel[i][j]} for j in range(n)})
-        )
-    return out
+    """All minimal spaces on n points, one per homeomorphism class: the
+    posets, grown by a new maximal point over a down-set of the old points,
+    each kept once as its least strict relation over the relabellings that
+    order points by (points below, points above)."""
+    posets = {()}
+    for k in range(n):
+        grown = set()
+        for rel in posets:
+            below = [{i for i, j in rel if j == x} for x in range(k)]
+            for bits in range(1 << k):
+                down = {i for i in range(k) if bits >> i & 1}
+                if all(below[i] <= down for i in down):
+                    grown.add(_least_relabelling(rel + tuple((i, k) for i in down), k + 1))
+        posets = grown
+    pts = [f"x{i}" for i in range(n)]
+    return [space_from_preorder(pts, [(pts[i], pts[j]) for i, j in rel])
+            for rel in sorted(posets)]
+
+
+def _least_relabelling(rel, n) -> tuple:
+    key = [(sum(j == x for _, j in rel), sum(i == x for i, _ in rel)) for x in range(n)]
+    groups = [[x for x in range(n) if key[x] == g] for g in sorted(set(key))]
+    return min(
+        tuple(sorted((pos[i], pos[j]) for i, j in rel))
+        for order in product(*map(permutations, groups))
+        for pos in [{x: p for p, x in enumerate(chain.from_iterable(order))}]
+    )
 
 
 # -- endomorphisms and T-automata -------------------------------------------
@@ -468,8 +469,9 @@ def discrete(nfa: Nfa) -> TAutomaton:
     """The automaton seen as a T-automaton on the discrete space of its
     states; evaluations agree with the Boolean matrix ones."""
     space = FinTop.discrete(nfa.states)
+    states = nfa.states
     letters = {
-        a: Endo(space, {q: nfa._succ.get((q, a), ()) for q in nfa.states})
-        for a in nfa.alphabet
+        a: Endo(space, {q: {states[j] for j in row[i]} for i, q in enumerate(states)})
+        for a, row in nfa._rows.items()
     }
     return TAutomaton.make(space, nfa.alphabet, nfa.initial, nfa.accepting, letters)

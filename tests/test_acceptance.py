@@ -253,32 +253,40 @@ def test_c07_functor_laws_on_random_diagrams():
 # -- criterion 8: the foam suite over the open-set lattice -------------------------------
 
 
+def ev(space, diagram):
+    return eval_tautomaton(TAutomaton.bare(space), diagram).matrix
+
+
+_ZIG_PLUS = Diagram.make(
+    [[cup("+"), ident("+")], [ident("+"), cap("-")]], domain=("+",)
+)
+_ZIG_MINUS = Diagram.make(
+    [[ident("-"), cup("+")], [cap("-"), ident("-")]], domain=("-",)
+)
+
+
+def _foam_contract_holds(space):
+    """Zig-zags, the foam laws, the duality laws and the bialgebra
+    inequality on one space."""
+    ok = ev(space, _ZIG_PLUS) == ev(space, identity_diagram(("+",)))
+    ok &= ev(space, _ZIG_MINUS) == ev(space, identity_diagram(("-",)))
+    for pairs in FOAM_LAWS.values():
+        for lhs, rhs in pairs:
+            ok &= ev(space, lhs) == ev(space, rhs)
+    for lhs, rhs in FOAM_DUALITY:
+        ok &= ev(space, lhs) == ev(space.dual(), rhs)
+    l, r = (ev(space, d) for d in BIALGEBRA)
+    return ok & (l + r == r)
+
+
 def test_c08_foam_suite_on_all_spaces_up_to_four_points():
     rng = random.Random(88)
     spaces = [s for n in (1, 2, 3, 4) for s in minimal_spaces(n)]
     assert len(spaces) == 24
 
-    def ev(space, diagram):
-        return eval_tautomaton(TAutomaton.bare(space), diagram).matrix
-
-    zig_plus = Diagram.make(
-        [[cup("+"), ident("+")], [ident("+"), cap("-")]], domain=("+",)
-    )
-    zig_minus = Diagram.make(
-        [[ident("-"), cup("+")], [cap("-"), ident("-")]], domain=("-",)
-    )
-
     ok = True
     for space in spaces:
-        ok &= ev(space, zig_plus) == ev(space, identity_diagram(("+",)))
-        ok &= ev(space, zig_minus) == ev(space, identity_diagram(("-",)))
-        for pairs in FOAM_LAWS.values():
-            for lhs, rhs in pairs:
-                ok &= ev(space, lhs) == ev(space, rhs)
-        for lhs, rhs in FOAM_DUALITY:
-            ok &= ev(space, lhs) == ev(space.dual(), rhs)
-        l, r = (ev(space, d) for d in BIALGEBRA)
-        ok &= l + r == r
+        ok &= _foam_contract_holds(space)
         for _ in range(5):
             foam = random_closed_diagram(rng, foam=True, endpoints=False)
             ok &= eval_tautomaton(TAutomaton.bare(space), foam).scalar() == 1
@@ -289,6 +297,13 @@ def test_c08_foam_suite_on_all_spaces_up_to_four_points():
     )
     ok &= ev(witness, BIALGEBRA[0]) != ev(witness, BIALGEBRA[1])
     assert report("criterion 8 (foam laws on all 24 spaces <= 4 points)", ok)
+
+
+def test_c08b_foam_suite_on_all_five_point_spaces():
+    spaces = minimal_spaces(5)
+    assert len(spaces) == 63
+    ok = all(_foam_contract_holds(space) for space in spaces)
+    assert report("criterion 8b (foam laws on all 63 five-point spaces)", ok)
 
 
 # -- criterion 9: discrete spaces reproduce automata ---------------------------------------
@@ -311,6 +326,18 @@ def test_c09_discrete_tautomata_reproduce_automata():
             ok &= taut.interval_eval(w) == nfa.interval_eval(w)
             ok &= taut.trace_eval(w) == nfa.trace_eval(w)
     assert report("criterion 9 (discrete T-automata match automata)", ok)
+
+
+def test_c09b_discrete_tautomata_reproduce_five_state_automata():
+    rng = random.Random(995)
+    ok = True
+    for _ in range(20):
+        nfa = random_nfa(rng, min_states=5, max_states=5)
+        d = random_diagram(
+            rng, letters=AB, max_width=3, max_slices=5, labels=nfa.states
+        )
+        ok &= eval_tautomaton(discrete(nfa), d).matrix == eval_nfa(nfa, d).matrix
+    assert report("criterion 9b (discrete T-automata match 5-state automata)", ok)
 
 
 # -- criterion 10: trimming --------------------------------------------------------------

@@ -215,6 +215,16 @@ def test_letter_image_that_is_not_an_object_is_input_error(tmp_path, capsys):
     assert "letter 'g'" in err
 
 
+def test_accepting_set_with_an_unknown_point_is_input_error(tmp_path, capsys):
+    data = json.loads(Path(TAUT_PATH).read_text())
+    data["accepting_closed"] = ["zz"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "t-member", "--tautomaton", str(path), "--word", "g")
+    assert code == 2
+    assert "unknown points ['zz']" in err
+
+
 def test_exit_code_type_error(tmp_path, capsys):
     d = tmp_path / "bad.txt"
     d.write_text("cup+ ; id- id+\n")
@@ -277,6 +287,17 @@ def test_voltage_perm_that_is_not_a_list_is_input_error(tmp_path, capsys):
 def test_voltage_perm_with_a_string_is_input_error(tmp_path, capsys):
     data = _assignment([0, "x"])
     assert _cover_file_exit_code(tmp_path, capsys, "voltage", data) == 2
+
+
+def test_voltage_perm_of_booleans_is_not_a_permutation(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_assignment([True, False])))
+    code, _, err = run(
+        capsys, "cover", "voltage", "--automaton", A2_PATH, "--n", "2",
+        "--voltages", str(path), "--out", str(tmp_path / "out.json"),
+    )
+    assert code == 2
+    assert "is not a permutation of 0..1" in err
 
 
 def test_voltage_assignment_that_is_not_an_object_is_input_error(tmp_path, capsys):

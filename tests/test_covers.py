@@ -66,6 +66,29 @@ def test_cyclic_cover_validation():
         cyclic_cover(A2, ["q1", "q2"], 0)
 
 
+def _cyclic_cover_by_edges(nfa, order, n):
+    """The cyclic cover written out edge by edge: q@k -> r@(k + wind) mod n."""
+    pos = {q: i for i, q in enumerate(order)}
+    return Nfa.make(
+        [f"{q}@{k}" for q in nfa.states for k in range(n)],
+        nfa.alphabet,
+        [(f"{q}@{k}", a, f"{r}@{(k + (pos[r] <= pos[q])) % n}")
+         for q, a, r in nfa.delta for k in range(n)],
+        [f"{q}@{k}" for q in nfa.initial for k in range(n)],
+        [f"{q}@{k}" for q in nfa.accepting for k in range(n)],
+    )
+
+
+def test_cyclic_cover_matches_the_edge_by_edge_construction():
+    rng = random.Random(300)
+    for _ in range(300):
+        nfa = random_nfa(rng, max_states=4)
+        order = list(nfa.states)
+        rng.shuffle(order)
+        n = rng.randint(1, 4)
+        assert cyclic_cover(nfa, order, n) == _cyclic_cover_by_edges(nfa, order, n)
+
+
 def test_cyclic_cover_projection_is_a_covering():
     for n in (1, 2, 3):
         cover = cyclic_cover(A2, ["q2", "q1"], n)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +75,13 @@ def test_unknown_point_errors():
         S2.min_open_of("zz")
 
 
+def test_closed_check_names_unknown_points():
+    with pytest.raises(ValueError, match=r"unknown points \['zz'\]"):
+        S2.is_closed({"y", "zz"})
+    with pytest.raises(ValueError, match=r"unknown points \['zz'\]"):
+        TAutomaton.make(S2, (), {"x"}, {"zz"}, {})
+
+
 def test_validation():
     with pytest.raises(ValueError, match="missing from its own"):
         FinTop.make(["x"], {"x": set()})
@@ -108,7 +115,47 @@ def test_double_dual_is_identity(seed):
 
 
 def test_minimal_space_counts():
-    assert [len(minimal_spaces(n)) for n in range(5)] == [1, 1, 2, 5, 16]
+    # the number of posets on n points, OEIS A000112
+    assert [len(minimal_spaces(n)) for n in range(7)] == [1, 1, 2, 5, 16, 63, 318]
+
+
+def _least_relation(n, rel):
+    """The least sorted relation of ``rel`` over all n! relabellings."""
+    return min(
+        tuple(sorted((p[i], p[j]) for i, j in rel)) for p in permutations(range(n))
+    )
+
+
+def _space_class(space):
+    pts = space.points
+    return _least_relation(len(pts), [
+        (i, j) for j, y in enumerate(pts) for i, x in enumerate(pts)
+        if x != y and x in space.min_open[y]
+    ])
+
+
+def _poset_classes(n):
+    """Every partial order on n points up to relabelling, found by trying
+    every relation and keeping the antisymmetric, transitive ones."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = set()
+    for bits in range(1 << len(pairs)):
+        rel = {e for b, e in enumerate(pairs) if bits >> b & 1}
+        if any((j, i) in rel for i, j in rel):
+            continue
+        if any((i, k) not in rel for i, j in rel for j2, k in rel if j == j2):
+            continue
+        out.add(_least_relation(n, rel))
+    return out
+
+
+def test_minimal_spaces_are_the_poset_classes():
+    for n in range(5):
+        spaces = minimal_spaces(n)
+        assert all(s.points == tuple(f"x{i}" for i in range(n)) for s in spaces)
+        assert sorted(map(_space_class, spaces)) == sorted(_poset_classes(n))
+    # no two of the five-point spaces are homeomorphic
+    assert len({_space_class(s) for s in minimal_spaces(5)}) == 63
 
 
 def test_space_from_preorder_quotients_cycles():
