@@ -1,6 +1,8 @@
 """Automata as evaluators for decorated one-dimensional cobordism and foam
 diagrams over the Boolean and counting semirings."""
 
+import logging
+
 from .automaton import (
     CircularWord,
     Nfa,
@@ -49,3 +51,6 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+
+# a library leaves handling its records to the application
+logging.getLogger("autcob").addHandler(logging.NullHandler())

@@ -78,6 +78,15 @@ class CircularWord:
         return iter(self.letters)
 
 
+def read_json(text: str):
+    """The JSON value of ``text``.  JSON nested too deeply for the decoder
+    is malformed input like any other: a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+
+
 def json_list(data: dict, key) -> list:
     """``data[key]`` when it is a JSON list of strings; a string is never
     split into characters."""
@@ -378,7 +387,7 @@ class Nfa:
 
     @classmethod
     def from_json(cls, text: str) -> Nfa:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(read_json(text))
 
 
 def disjoint_union(a: Nfa, b: Nfa) -> Nfa:

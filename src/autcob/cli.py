@@ -12,7 +12,7 @@ import sys
 from functools import cache
 from itertools import product
 
-from .automaton import Nfa
+from .automaton import Nfa, read_json
 from .covers import GraphMap, check_cover_size, cyclic_cover, is_covering
 from .covers import is_weak_covering, voltage_cover
 from .diagrams import Diagram, parse_diagram
@@ -104,7 +104,7 @@ def _cmd_cover_cyclic(args) -> int:
 
 def _cmd_cover_voltage(args) -> int:
     nfa = _load_nfa(args.automaton)
-    spec = json.loads(_read(args.voltages)) if args.voltages else {}
+    spec = read_json(_read(args.voltages)) if args.voltages else {}
     if not isinstance(spec, dict) or set(spec) - {"assignments"}:
         raise ValueError("voltage file must be an object with the key 'assignments'")
     assignments = spec.get("assignments", [])
@@ -130,7 +130,7 @@ def _cmd_cover_voltage(args) -> int:
 def _cmd_cover_check(args) -> int:
     cover = _load_nfa(args.cover)
     base = _load_nfa(args.base)
-    data = json.loads(_read(args.map))
+    data = read_json(_read(args.map))
     if not isinstance(data, dict) or set(data) != {"vertices"}:
         raise ValueError("map file must be an object with the one key 'vertices'")
     vm = data["vertices"]

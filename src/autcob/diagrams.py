@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automaton import as_word
+from .automaton import as_word, read_json
 from .errors import DiagramTypeError, ParseError
 
 SIGNS = ("+", "-")
@@ -267,7 +267,7 @@ class Diagram:
 
     @classmethod
     def from_json(cls, text: str) -> Diagram:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(read_json(text))
 
 
 def identity_diagram(signs) -> Diagram:

@@ -13,11 +13,16 @@ Conventions, fixed once and used everywhere:
 
 Evaluation is a symmetric monoidal functor, so the whole-boundary layer of
 a slice (the Kronecker product of its generators) is never built.  The
-evaluator keeps one sparse running tensor, a dict from (current boundary
-basis tuple, domain column) to its nonzero value, and contracts wire by
-wire: each generator acts on its own 0-2 wires through a table from the
-basis tuple on its inputs to (output tuple, value) pairs, identity wires
-pass their index through, and a swap exchanges two indices.
+evaluator keeps one sparse running tensor, a dict from one flat index to
+its nonzero value, and contracts wire by wire.  The flat index is that of
+the current boundary basis tuple (radix n, leftmost wire slowest) times
+the domain columns, plus the domain column; after the last slice of a
+connected diagram it is the row-major offset in the result.  Each
+generator acts on its own 0-2 wires through a table: a list, by the flat
+index of its input tuple, of the flat indices of the output tuples it
+reaches.  Every generator image is a 0/1 relation, so tables hold no
+values, and the kernel only adds, when two paths reach one index.
+Identity wires take no step; a swap is a table like any other.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
 that share no wire are never contracted together.  One union-find pass
@@ -36,8 +41,9 @@ cut down by the idempotent E with E[y][x] = 1 iff y lies in U_x (and its
 transpose on '-' wires).  The identity wire evaluates to E, and
 ``_model`` writes every other generator image once, in terms of U.  Each
 image is balanced by these idempotents (E' G E = G), so E is applied
-once, to the domain wires, and identity wires and swaps stay pure index
-operations.
+once, to the domain wires, and identity wires stay pure index operations.
+A '+' dot's table is the letter's successor rows, the ones ``walk``
+reads, and the '+' wire's is U itself; neither is copied.
 
 The model has two instances.  An automaton is the discrete one,
 U_q = {q}, over any semiring: E is the identity and is never applied, and
@@ -49,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 from .automaton import Nfa, as_word
 from .diagrams import _FOAM, Diagram, Gen, circle_diagram, ident, interval_diagram
@@ -83,20 +88,21 @@ def _guard(n, what, wires, size_wires):
         )
 
 
-def _table(ring, pairs) -> dict:
-    """Generator image from (input tuple, output tuple) pairs of value one."""
-    out = {}
-    for inp, outp in pairs:
-        out.setdefault(inp, []).append((outp, ring.one))
+def _table(size, pairs) -> list:
+    """A generator image by flat input index: each entry lists the flat
+    output indices that input reaches, each with value one."""
+    out = [[] for _ in range(size)]
+    for i, o in pairs:
+        out[i].append(o)
     return out
 
 
-def _steps(slc, image) -> list:
-    """One slice as (position, input width, table) steps; a swap's table
-    is None and identity wires take no step.  The position counts wires on
-    the boundary as it stands when the step runs.  Shrinking generators go
-    first, so no boundary in between is wider than the slice's input or
-    output."""
+def _steps(slc, image, n, cols) -> list:
+    """One slice as (stride, n^inputs, n^outputs, table) steps; identity
+    wires take no step.  The stride is n to the power of the wires right of
+    the step, on the boundary as it stands when the step runs, times the
+    domain columns.  Shrinking generators go first, so no boundary in
+    between is wider than the slice's input or output."""
     order = sorted(
         (len(g.outputs()) - len(g.inputs()), k)
         for k, g in enumerate(slc)
@@ -105,36 +111,33 @@ def _steps(slc, image) -> list:
     done = set()
     steps = []
     for _, k in order:
-        pos = sum(
+        right = sum(
             len(h.outputs() if j in done else h.inputs())
-            for j, h in enumerate(slc[:k])
+            for j, h in enumerate(slc[k + 1:], k + 1)
         )
         g = slc[k]
-        steps.append((pos, len(g.inputs()), None if g.kind == "swap" else image(g)))
+        steps.append(
+            (n ** right * cols, n ** len(g.inputs()), n ** len(g.outputs()), image(g))
+        )
         done.add(k)
     return steps
 
 
-def _apply(ring, tensor, pos, width, table) -> dict:
-    end = pos + width
-    if table is None:
-        return {
-            key[:pos] + (key[pos + 1], key[pos]) + key[end:]: v
-            for key, v in tensor.items()
-        }
-    add, mul = ring.add, ring.mul
+def _apply(add, tensor, stride, m_in, m_out, table) -> dict:
+    """One step: in each key, the digit the step reads (``q % m_in``, with
+    ``q = key // stride``) gives way to each output the table lists for
+    it; the digits on either side keep their places."""
     out = {}
     get = out.get
     for key, v in tensor.items():
-        pairs = table.get(key[pos:end])
-        if not pairs:
-            continue
-        head, tail = key[:pos], key[end:]
-        for o, w in pairs:
-            new = head + o + tail
-            x = mul(v, w)
-            old = get(new)
-            out[new] = x if old is None else add(old, x)
+        q = key // stride
+        outs = table[q % m_in]
+        if outs:
+            hi, lo = q // m_in * m_out, key % stride
+            for o in outs:
+                new = (hi + o) * stride + lo
+                old = get(new)
+                out[new] = v if old is None else add(old, v)
     return out
 
 
@@ -210,19 +213,30 @@ def _components(diagram: Diagram, dom, cod) -> list:
 
 
 def _contract(ring, n, wire, image, dom, slices) -> dict:
-    """The nonzeros of one connected diagram, keyed by its codomain basis
-    tuple followed by its domain column."""
-    tensor = {
-        d + (col,): ring.one
-        for col, d in enumerate(product(range(n), repeat=len(dom)))
-    }
+    """The nonzeros of one connected diagram, keyed by the flat index of
+    its codomain basis tuple times its domain columns plus its domain
+    column: the row-major offset in its own matrix."""
+    cols = n ** len(dom)
+    tensor = {col * cols + col: ring.one for col in range(cols)}
+    steps = []
     if wire is not None:
-        for pos, sign in enumerate(dom):
-            tensor = _apply(ring, tensor, pos, 1, wire[sign])
+        steps = [(n ** (len(dom) - 1 - p) * cols, n, n, wire[s])
+                 for p, s in enumerate(dom)]
     for slc in slices:
-        for pos, width, table in _steps(slc, image):
-            tensor = _apply(ring, tensor, pos, width, table)
+        steps += _steps(slc, image, n, cols)
+    for step in steps:
+        tensor = _apply(ring.add, tensor, *step)
     return tensor
+
+
+def _spread(n, places, width, scale) -> list:
+    """By flat index over the wires at ``places``, the offset that index
+    adds to a row-major index over ``width`` wires, times ``scale``."""
+    offsets = [0]
+    for p in places:
+        stride = n ** (width - 1 - p) * scale
+        offsets = [o + x * stride for o in offsets for x in range(n)]
+    return offsets
 
 
 def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluation:
@@ -245,18 +259,12 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
     found = None  # (flat offset, value) for each nonzero of the result so far
     for dpos, slices, cpos in parts:
         tensor = _contract(ring, n, wire, image, [dom[p] for p in dpos], slices)
-        # each wire's digit times the stride of its place in the result
-        offsets = [0]
-        for p in dpos:
-            stride = n ** (len(dom) - 1 - p)
-            offsets = [o + x * stride for o in offsets for x in range(n)]
-        strides = [n ** (len(cod) - 1 - p) * cols for p in cpos]
-        nonzeros = []
-        for key, v in tensor.items():
-            r = offsets[key[-1]]
-            for x, stride in zip(key, strides):
-                r += x * stride
-            nonzeros.append((r, v))
+        width = n ** len(dpos)
+        at_row = _spread(n, cpos, len(cod), cols)
+        at_col = _spread(n, dpos, len(dom), 1)
+        nonzeros = [
+            (at_row[key // width] + at_col[key % width], v) for key, v in tensor.items()
+        ]
         if found is None:
             found = nonzeros
         else:
@@ -269,7 +277,7 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
     return Evaluation(Mat(ring, rows, cols, tuple(ent)))
 
 
-def _model(ring, up, letters, initial, accepting, index):
+def _model(up, letters, initial, accepting, index):
     """The module model of a state space with basis 0..n-1.
 
     ``up[x]`` is the set of basis indices in U_x; ``letters[a][x]`` is the
@@ -278,7 +286,9 @@ def _model(ring, up, letters, initial, accepting, index):
     the indices of the initial open and the accepting closed set; ``index``
     maps an endpoint label to its basis index.  Returns ``(wire, image)``
     as ``_run`` takes them: ``wire`` is None exactly when every U_x is
-    {x}."""
+    {x}.  Every image has value one on each pair it relates, so the
+    tables hold no values; ``up`` and the rows of ``letters`` serve as
+    tables themselves and are never copied or changed."""
     n = len(up)
     every = range(n)
     # down[x]: the points of the closure of x
@@ -288,34 +298,30 @@ def _model(ring, up, letters, initial, accepting, index):
             down[y].append(x)
     wire = None
     if any(len(u) > 1 for u in up):
-        wire = {
-            "+": _table(ring, (((x,), (y,)) for x in every for y in up[x])),
-            "-": _table(ring, (((x,), (y,)) for x in every for y in down[x])),
-        }
+        wire = {"+": up, "-": down}
 
     def labelled(g: Gen, around):
         if g.label not in index:
             raise KeyError(f"unknown endpoint label {g.label!r}")
         return around[index[g.label]]
 
-    def image(g: Gen) -> dict:
+    def image(g: Gen) -> list:
         k, plus = g.kind, g.sign == "+"
         if k == "dot":
-            arrows = [((x,), (y,)) for x in every for y in letters[g.letter][x]]
-            return _table(ring, arrows if plus else ((o, i) for i, o in arrows))
+            rows = letters[g.letter]
+            return rows if plus else _table(n, ((y, x) for x in every for y in rows[x]))
+        if k == "swap":
+            return [(y * n + x,) for x in every for y in every]
         if k in ("cup", "cap"):
             # the pairs (u, v) with u in U_v; a '-' cup and a '+' cap read
             # them the other way round
-            pairs = [(u, v) for v in every for u in up[v]]
-            if (k == "cap") == plus:
-                pairs = [(v, u) for u, v in pairs]
-            return _table(ring, (((), p) if k == "cup" else (p, ()) for p in pairs))
+            flip = (k == "cap") == plus
+            pairs = [v * n + u if flip else u * n + v for v in every for u in up[v]]
+            return [pairs] if k == "cup" else _table(n * n, ((p, 0) for p in pairs))
         if k == "birth":
             if g.label is not None:
-                members = labelled(g, up)
-            else:
-                members = initial if plus else accepting
-            return _table(ring, (((), (x,)) for x in members))
+                return [labelled(g, up)]
+            return [initial if plus else accepting]
         if k == "death":
             if g.label is not None:
                 members = labelled(g, down)
@@ -325,30 +331,17 @@ def _model(ring, up, letters, initial, accepting, index):
                 near = up if plus else down
                 ends = set(accepting if plus else initial)
                 members = [x for x in every if not ends.isdisjoint(near[x])]
-            return _table(ring, (((x,), ()) for x in members))
+            return _table(n, ((x, 0) for x in members))
         if k == "merge":
-            return _table(
-                ring,
-                (
-                    ((x, y), (z,))
-                    for x in every
-                    for y in every
-                    for z in up[x] & up[y]
-                ),
-            )
+            return [up[x] & up[y] for x in every for y in every]
         if k == "split":
-            return _table(
-                ring,
-                (
-                    ((x,), pair)
-                    for x in every
-                    for pair in {(u, v) for z in up[x] for u in up[z] for v in up[z]}
-                ),
-            )
+            return [
+                {u * n + v for z in up[x] for u in up[z] for v in up[z]} for x in every
+            ]
         if k == "unit":
-            return _table(ring, (((), (x,)) for x in every))
+            return [every]
         if k == "counit":
-            return _table(ring, (((x,), ()) for x in every))
+            return [(0,)] * n
         raise ValueError(f"unknown generator kind {k!r}")
 
     return wire, image
@@ -373,7 +366,7 @@ def eval_nfa(nfa: Nfa, diagram: Diagram, ring: Semiring = BOOL) -> Evaluation:
     up = [frozenset((x,)) for x in range(len(nfa.states))]
     initial = [idx[q] for q in nfa.initial]
     accepting = [idx[q] for q in nfa.accepting]
-    model = _model(ring, up, nfa._rows, initial, accepting, idx)
+    model = _model(up, nfa._rows, initial, accepting, idx)
     return _run(diagram, ring, len(up), *model)
 
 
@@ -400,5 +393,5 @@ def eval_tautomaton(taut: TAutomaton, diagram: Diagram) -> Evaluation:
     idx, up = taut._index, taut._up
     initial = [idx[p] for p in taut.initial_open]
     accepting = [idx[p] for p in taut.accepting_closed]
-    model = _model(BOOL, up, taut._rows, initial, accepting, idx)
+    model = _model(up, taut._rows, initial, accepting, idx)
     return _run(diagram, BOOL, len(up), *model)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product
 
-from .automaton import Nfa, checked_word, json_list, walk
+from .automaton import Nfa, checked_word, json_list, read_json, walk
 from .errors import CapacityError
 
 OPENS_CAP = 1 << 16
@@ -144,7 +144,7 @@ class FinTop:
 
     @classmethod
     def from_json(cls, text: str) -> FinTop:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(read_json(text))
 
 
 def _json_sets(value, what) -> dict:
@@ -462,7 +462,7 @@ class TAutomaton:
 
     @classmethod
     def from_json(cls, text: str) -> TAutomaton:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(read_json(text))
 
 
 def discrete(nfa: Nfa) -> TAutomaton:

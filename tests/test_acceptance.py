@@ -306,6 +306,13 @@ def test_c08b_foam_suite_on_all_five_point_spaces():
     assert report("criterion 8b (foam laws on all 63 five-point spaces)", ok)
 
 
+def test_c08c_foam_suite_on_all_six_point_spaces():
+    spaces = minimal_spaces(6)
+    assert len(spaces) == 318
+    ok = all(_foam_contract_holds(space) for space in spaces)
+    assert report("criterion 8c (foam laws on all 318 six-point spaces)", ok)
+
+
 # -- criterion 9: discrete spaces reproduce automata ---------------------------------------
 
 

@@ -14,7 +14,9 @@ from autcob.automaton import (
     flower_automaton,
     rotations,
 )
+from autcob.diagrams import Diagram
 from autcob.semiring import BOOL, identity
+from autcob.topology import FinTop, TAutomaton
 from util import A2, H1, TWO_CYCLE, all_words, random_nfa, reference_trim
 
 seeds = st.integers(0, 10**6)
@@ -339,6 +341,14 @@ def test_json_rejects_unknown_keys():
     data["transitions"][0]["weight"] = 1
     with pytest.raises(ValueError):
         Nfa.from_json_dict(data)
+
+
+@pytest.mark.parametrize("loader", [Nfa, FinTop, TAutomaton, Diagram], ids=lambda c: c.__name__)
+def test_json_nested_too_deeply_is_a_value_error(loader):
+    # the decoder recurses once per level; past its limit that is a
+    # RecursionError, which is no input error
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loader.from_json("[" * 100000)
 
 
 def test_json_is_deterministic():

@@ -339,6 +339,26 @@ def test_dot_letter_that_is_not_a_string_is_input_error(tmp_path, capsys):
     assert _diagram_exit_code(tmp_path, capsys, data) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--automaton", "{deep}", "--diagram", "{diagram}"],
+    ["eval", "--automaton", A2_PATH, "--diagram", "{deep}"],
+    ["eval", "--tautomaton", "{deep}", "--diagram", "{diagram}"],
+    ["cover", "check", "--map", "{deep}", "--cover", A2_PATH, "--base", A2_PATH],
+    ["cover", "voltage", "--automaton", A2_PATH, "--n", "2", "--voltages", "{deep}",
+     "--out", "{out}"],
+], ids=["automaton", "diagram", "tautomaton", "cover-map", "voltages"])
+def test_json_nested_too_deeply_is_input_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    diagram = tmp_path / "closed.txt"
+    diagram.write_text("cup+ ; cap+\n")
+    paths = {"deep": deep, "diagram": diagram, "out": tmp_path / "out.json"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in command))
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_huge_cyclic_cover_is_refused_before_it_is_built(tmp_path, capsys):
     code, _, err = run(capsys, "cover", "cyclic", "--automaton", A2_PATH, "--order",
                        "q1,q2", "--n", str(10**9), "--out", str(tmp_path / "c.json"))

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -132,6 +133,39 @@ def test_contraction_matches_dense_layers_on_tautomata(seed):
         rng, letters=taut.alphabet, max_width=3, foam=True, labels=taut.space.points
     )
     assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
+
+
+def test_evaluation_leaves_the_rows_it_reads_unchanged():
+    # '+' dots read Nfa._rows and TAutomaton._rows as their tables, and
+    # '+' wires read TAutomaton._up: no evaluation may change them
+    rng = random.Random(10)
+    letters = ("a", "b")
+    words = list(all_words(letters, 3))
+    minus_circle = Diagram.make([[cup("-")], [dot("a", "-"), ident("+")], [cap("-")]])
+
+    def diagrams(foam, labels):
+        yield from (circle_diagram("abba"), interval_diagram("ab"), minus_circle)
+        for _ in range(10):
+            yield random_diagram(rng, letters=letters, max_width=3, foam=foam,
+                                 labels=labels)
+        if foam:
+            for _ in range(5):
+                yield random_closed_diagram(rng, letters=letters, foam=True)
+
+    for _ in range(5):
+        nfa = random_nfa(rng, max_states=4, alphabet=letters)
+        taut = random_tautomaton(rng, max_points=4, alphabet=letters)
+        before = copy.deepcopy((nfa._rows, taut._rows, taut._up))
+        answers = [(m.interval_eval(w), m.trace_eval(w)) for m in (nfa, taut) for w in words]
+        for d in diagrams(False, nfa.states):
+            for ring in (BOOL, NAT):
+                eval_nfa(nfa, d, ring)
+        for d in diagrams(True, taut.space.points):
+            eval_tautomaton(taut, d)
+        assert (nfa._rows, taut._rows, taut._up) == before
+        assert answers == [
+            (m.interval_eval(w), m.trace_eval(w)) for m in (nfa, taut) for w in words
+        ]
 
 
 def twelve_state_cycle():
@@ -404,8 +438,8 @@ def test_guard_bounds_the_result_before_evaluating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated past the guard")
 
-    # the running tensor is enumerated from the domain basis first
-    monkeypatch.setattr(evaluate, "product", no_allocation)
+    # every running tensor is allocated inside the contraction
+    monkeypatch.setattr(evaluate, "_contract", no_allocation)
     with pytest.raises(CapacityError) as err:
         eval_nfa(eight, identity_diagram(("+",) * 6))
     assert str(8**12) in str(err.value)
@@ -443,7 +477,7 @@ def test_guard_names_the_component_over_the_cap(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated past the guard")
 
-    monkeypatch.setattr(evaluate, "product", no_allocation)
+    monkeypatch.setattr(evaluate, "_contract", no_allocation)
     with pytest.raises(CapacityError) as err:
         eval_nfa(wide, d)
     assert "component 2 of 2" in str(err.value)
