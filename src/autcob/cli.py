@@ -64,11 +64,6 @@ def _write_automaton(nfa: Nfa, path: str):
         fh.write("\n")
 
 
-def _print_matrix(mat):
-    for i in range(mat.rows):
-        print(" ".join(str(v) for v in mat.row(i)))
-
-
 def _cmd_eval(args) -> int:
     diagram = _load_diagram(args.diagram)
     if args.tautomaton:
@@ -81,7 +76,8 @@ def _cmd_eval(args) -> int:
     if diagram.is_closed:
         print(ev.scalar())
     else:
-        _print_matrix(ev.matrix)
+        for i in range(ev.matrix.rows):
+            print(" ".join(str(v) for v in ev.matrix.row(i)))
     return 0
 
 
@@ -147,17 +143,24 @@ def _cmd_trim(args) -> int:
     return 0
 
 
+def _dot_id(name: str) -> str:
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cmd_dot(args) -> int:
     nfa = _load_nfa(args.automaton)
+    ids = {q: _dot_id(q) for q in nfa.states}
     lines = ["digraph automaton {", "  rankdir=LR;", '  node [shape=circle];']
     for q in nfa.states:
         shape = "doublecircle" if q in nfa.accepting else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
+        lines.append(f"  {ids[q]} [shape={shape}];")
     for i, q in enumerate(sorted(nfa.initial)):
-        lines.append(f'  "__start{i}" [shape=none, label=""];')
-        lines.append(f'  "__start{i}" -> "{q}";')
+        start = _dot_id(f"__start{i}")
+        lines.append(f"  {start} [shape=none, label={_dot_id('')}];")
+        lines.append(f"  {start} -> {ids[q]};")
     for q, a, r in sorted(nfa.delta):
-        lines.append(f'  "{q}" -> "{r}" [label="{a}"];')
+        lines.append(f"  {ids[q]} -> {ids[r]} [label={_dot_id(a)}];")
     lines.append("}")
     print("\n".join(lines))
     return 0
@@ -282,7 +285,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError quotes its message as a key
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -38,17 +38,16 @@ the end.
 Every wire carries one module model: the free module on a finite basis
 (states or points) with a minimal open set U_x around each basis element,
 cut down by the idempotent E with E[y][x] = 1 iff y lies in U_x (and its
-transpose on '-' wires).  The identity wire evaluates to E, and
-``_model`` writes every other generator image once, in terms of U.  Each
-image is balanced by these idempotents (E' G E = G), so E is applied
-once, to the domain wires, and identity wires stay pure index operations.
+transpose on '-' wires).  ``_model`` writes every generator image once,
+in terms of U; the identity wire's is E.  Each image is balanced by these
+idempotents (E' G E = G), so only a bare strand, a component that meets
+no generator, takes E; every other identity wire is an index operation.
 A '+' dot's table is the letter's successor rows, the ones ``walk``
 reads, and the '+' wire's is U itself; neither is copied.
 
-The model has two instances.  An automaton is the discrete one,
-U_q = {q}, over any semiring: E is the identity and is never applied, and
-foam vertices are refused.  A T-automaton takes U_x from its space, over
-BOOL; on a discrete space it is the automaton's model again.
+An automaton is the model with U_q = {q}, over any semiring: E is the
+identity table, and foam vertices are refused.  A T-automaton takes U_x
+from its space, over BOOL; on a discrete space it is the automaton's.
 """
 
 from __future__ import annotations
@@ -212,18 +211,16 @@ def _components(diagram: Diagram, dom, cod) -> list:
     return parts
 
 
-def _contract(ring, n, wire, image, dom, slices) -> dict:
+def _contract(ring, n, image, dom, slices) -> dict:
     """The nonzeros of one connected diagram, keyed by the flat index of
     its codomain basis tuple times its domain columns plus its domain
-    column: the row-major offset in its own matrix."""
+    column: the row-major offset in its own matrix.  A bare strand, with
+    a domain wire and no step, applies its wire's E."""
     cols = n ** len(dom)
     tensor = {col * cols + col: ring.one for col in range(cols)}
-    steps = []
-    if wire is not None:
-        steps = [(n ** (len(dom) - 1 - p) * cols, n, n, wire[s])
-                 for p, s in enumerate(dom)]
-    for slc in slices:
-        steps += _steps(slc, image, n, cols)
+    steps = [step for slc in slices for step in _steps(slc, image, n, cols)]
+    if dom and not steps:
+        steps = [(cols, n, n, image(ident(dom[0])))]
     for step in steps:
         tensor = _apply(ring.add, tensor, *step)
     return tensor
@@ -239,12 +236,11 @@ def _spread(n, places, width, scale) -> list:
     return offsets
 
 
-def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluation:
-    """``wire`` maps each sign to the table of its identity wire, or is None
-    when every identity wire is the identity; ``gen_image(g)`` is the table
-    of any other generator.  Before anything is allocated, the result and
-    each component's running tensor (n^(widest boundary + |domain|)) are
-    held to ``MAX_DIM_PRODUCT``."""
+def _run(diagram: Diagram, ring: Semiring, n: int, gen_image) -> Evaluation:
+    """``gen_image(g)`` is the table of the generator g, the identity wire
+    (E) included.  Before anything is allocated, the result and each
+    component's running tensor (n^(widest boundary + |domain|)) are held
+    to ``MAX_DIM_PRODUCT``."""
     dom, cod = diagram.typecheck()
     _guard(n, "the result", f"{len(cod)} codomain and {len(dom)} domain wires",
            len(cod) + len(dom))
@@ -258,7 +254,7 @@ def _run(diagram: Diagram, ring: Semiring, n: int, wire, gen_image) -> Evaluatio
     mul = ring.mul
     found = None  # (flat offset, value) for each nonzero of the result so far
     for dpos, slices, cpos in parts:
-        tensor = _contract(ring, n, wire, image, [dom[p] for p in dpos], slices)
+        tensor = _contract(ring, n, image, [dom[p] for p in dpos], slices)
         width = n ** len(dpos)
         at_row = _spread(n, cpos, len(cod), cols)
         at_col = _spread(n, dpos, len(dom), 1)
@@ -284,10 +280,10 @@ def _model(up, letters, initial, accepting, index):
     set of those in the image of x under the letter a (the automaton's or
     T-automaton's ``_rows``); ``initial`` and ``accepting`` list
     the indices of the initial open and the accepting closed set; ``index``
-    maps an endpoint label to its basis index.  Returns ``(wire, image)``
-    as ``_run`` takes them: ``wire`` is None exactly when every U_x is
-    {x}.  Every image has value one on each pair it relates, so the
-    tables hold no values; ``up`` and the rows of ``letters`` serve as
+    maps an endpoint label to its basis index.  Returns the image function
+    ``_run`` takes, where the identity wire's image is E: ``up`` on '+',
+    ``down`` on '-'.  Every image has value one on each pair it relates, so
+    the tables hold no values; ``up`` and the rows of ``letters`` serve as
     tables themselves and are never copied or changed."""
     n = len(up)
     every = range(n)
@@ -296,9 +292,6 @@ def _model(up, letters, initial, accepting, index):
     for x in every:
         for y in up[x]:
             down[y].append(x)
-    wire = None
-    if any(len(u) > 1 for u in up):
-        wire = {"+": up, "-": down}
 
     def labelled(g: Gen, around):
         if g.label not in index:
@@ -307,6 +300,8 @@ def _model(up, letters, initial, accepting, index):
 
     def image(g: Gen) -> list:
         k, plus = g.kind, g.sign == "+"
+        if k == "id":
+            return up if plus else down
         if k == "dot":
             rows = letters[g.letter]
             return rows if plus else _table(n, ((y, x) for x in every for y in rows[x]))
@@ -344,7 +339,7 @@ def _model(up, letters, initial, accepting, index):
             return [(0,)] * n
         raise ValueError(f"unknown generator kind {k!r}")
 
-    return wire, image
+    return image
 
 
 # -- free modules (automata) --------------------------------------------------
@@ -366,8 +361,7 @@ def eval_nfa(nfa: Nfa, diagram: Diagram, ring: Semiring = BOOL) -> Evaluation:
     up = [frozenset((x,)) for x in range(len(nfa.states))]
     initial = [idx[q] for q in nfa.initial]
     accepting = [idx[q] for q in nfa.accepting]
-    model = _model(up, nfa._rows, initial, accepting, idx)
-    return _run(diagram, ring, len(up), *model)
+    return _run(diagram, ring, len(up), _model(up, nfa._rows, initial, accepting, idx))
 
 
 def eval_interval(nfa: Nfa, w) -> bool:
@@ -393,5 +387,4 @@ def eval_tautomaton(taut: TAutomaton, diagram: Diagram) -> Evaluation:
     idx, up = taut._index, taut._up
     initial = [idx[p] for p in taut.initial_open]
     accepting = [idx[p] for p in taut.accepting_closed]
-    model = _model(up, taut._rows, initial, accepting, idx)
-    return _run(diagram, BOOL, len(up), *model)
+    return _run(diagram, BOOL, len(up), _model(up, taut._rows, initial, accepting, idx))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from autcob import cli
 from autcob.cli import cli_word, main
 from autcob.automaton import Nfa
 from autcob.covers import cyclic_cover, voltage_cover
+from autcob.errors import ShapeError
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 A2_PATH = str(SAMPLES / "two_state.json")
@@ -168,6 +170,40 @@ def test_dot_output(capsys):
     assert "__start0" in out
 
 
+# a quoted DOT string (backslash escapes a character), or a run of anything else
+_DOT_TOKEN = re.compile(r'\s*(?:"((?:[^"\\]|\\.)*)"|[^\s"]+)')
+
+
+def dot_strings(line):
+    """The quoted strings of one DOT line, unescaped; fails on a quote that
+    no string accounts for."""
+    strings, pos, end = [], 0, len(line.rstrip())
+    while pos < end:
+        m = _DOT_TOKEN.match(line, pos)
+        assert m, f"unterminated string in {line!r}"
+        if m.group(1) is not None:
+            strings.append(re.sub(r"\\(.)", r"\1", m.group(1)))
+        pos = m.end()
+    return strings
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    odd = Nfa.make(['p"q', "r\\", "s"], ['"', "\\"],
+                   [('p"q', '"', "r\\"), ("r\\", "\\", "s")], ['p"q'], ["r\\"])
+    path = tmp_path / "odd.json"
+    path.write_text(odd.to_json())
+    code, out, err = run(capsys, "dot", "--automaton", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[3:-1]
+    assert [dot_strings(line) for line in lines] == [
+        *([q] for q in odd.states),
+        ["__start0", ""],
+        ["__start0", 'p"q'],
+        ['p"q', "r\\", '"'],
+        ["r\\", "s", "\\"],
+    ]
+
+
 def test_oracle_sweep(capsys):
     code, out, _ = run(capsys, "oracle", "sweep", "--automaton", A2_PATH,
                        "--max-len", "4")
@@ -184,6 +220,32 @@ def test_exit_code_input_error(tmp_path, capsys):
     bad.write_text('{"states": []}')
     code, _, _ = run(capsys, "member", "--automaton", str(bad), "--word", "a")
     assert code == 2
+
+
+@pytest.mark.parametrize("diagram, message", [
+    ("dot(z)+", "unknown letters ['z']"),
+    ("death+(zz)", "unknown endpoint label 'zz'"),
+], ids=["letter", "label"])
+def test_eval_key_errors_print_their_message_unquoted(tmp_path, capsys, diagram, message):
+    d = tmp_path / "d.txt"
+    d.write_text(diagram + "\n")
+    code, out, err = run(capsys, "eval", "--automaton", A2_PATH, "--diagram", str(d))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_word_letter_prints_its_message_unquoted(capsys):
+    code, out, err = run(capsys, "member", "--automaton", A2_PATH, "--word", "z")
+    assert (code, out, err) == (2, "", "error: unknown letter 'z'\n")
+
+
+def test_shape_error_is_input_error(capsys, monkeypatch):
+    def mismatched(*args):
+        raise ShapeError("cannot multiply 2x3 by 2x3")
+
+    monkeypatch.setattr(cli, "eval_nfa", mismatched)
+    code, out, err = run(capsys, "eval", "--automaton", A2_PATH,
+                         "--diagram", str(SAMPLES / "interval_a.txt"))
+    assert (code, out, err) == (2, "", "error: cannot multiply 2x3 by 2x3\n")
 
 
 def _member_exit_code(tmp_path, capsys, data):

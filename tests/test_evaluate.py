@@ -135,20 +135,80 @@ def test_contraction_matches_dense_layers_on_tautomata(seed):
     assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
 
 
+def bare_strand_diagrams(a, b):
+    """Bare '+' and '-' strands, which meet no generator, beside foam
+    vertices, dots and swaps.  In the first, the bare '+' strand crosses
+    the bare '-' strand and then a wire of the foam component; in the
+    second, the bare '-' strand crosses both wires of a foam component;
+    in the third, the bare '+' strand crosses a closed foam."""
+    yield Diagram.make(
+        [
+            [ident("+"), ident("-"), MERGE],
+            [swap("+", "-"), dot(a, "+")],
+            [ident("-"), swap("+", "+")],
+            [ident("-"), SPLIT, ident("+")],
+        ],
+        domain=("+", "-", "+", "+"),
+    )
+    yield Diagram.make(
+        [
+            [ident("-"), dot(b, "+"), UNIT],
+            [swap("-", "+"), ident("+")],
+            [ident("+"), swap("-", "+")],
+            [MERGE, ident("-")],
+            [dot(a, "+"), ident("-")],
+        ],
+        domain=("-", "+"),
+    )
+    yield Diagram.make(
+        [
+            [ident("+"), UNIT, ident("-")],
+            [swap("+", "+"), dot(b, "-")],
+            [COUNIT, ident("+"), ident("-")],
+        ],
+        domain=("+", "-"),
+    )
+
+
+def nondiscrete_tautomaton(rng):
+    while True:
+        taut = random_tautomaton(rng, max_points=3)
+        if any(len(u) > 1 for u in taut._up):
+            return taut
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_bare_strands_take_the_wire_idempotent(seed):
+    # only a bare strand takes E, so its sign and its E must both show
+    rng = random.Random(seed)
+    taut = nondiscrete_tautomaton(rng)
+    a, b = (rng.choice(taut.alphabet) for _ in range(2))
+    inner = random_diagram(rng, letters=taut.alphabet, max_width=2, max_slices=3,
+                           foam=True, labels=taut.space.points)
+    left, right = (tuple(rng.choice("+-") for _ in range(rng.randint(0, 1)))
+                   for _ in range(2))
+    beside = tensor(tensor(identity_diagram(left), inner), identity_diagram(right))
+    for d in (*bare_strand_diagrams(a, b), beside):
+        assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
+
+
 def test_evaluation_leaves_the_rows_it_reads_unchanged():
     # '+' dots read Nfa._rows and TAutomaton._rows as their tables, and
-    # '+' wires read TAutomaton._up: no evaluation may change them
+    # bare '+' strands read TAutomaton._up: no evaluation may change them
     rng = random.Random(10)
     letters = ("a", "b")
     words = list(all_words(letters, 3))
     minus_circle = Diagram.make([[cup("-")], [dot("a", "-"), ident("+")], [cap("-")]])
 
     def diagrams(foam, labels):
-        yield from (circle_diagram("abba"), interval_diagram("ab"), minus_circle)
+        yield from (circle_diagram("abba"), interval_diagram("ab"), minus_circle,
+                    identity_diagram(("+", "-")))
         for _ in range(10):
             yield random_diagram(rng, letters=letters, max_width=3, foam=foam,
                                  labels=labels)
         if foam:
+            yield next(bare_strand_diagrams("a", "b"))
             for _ in range(5):
                 yield random_closed_diagram(rng, letters=letters, foam=True)
 
