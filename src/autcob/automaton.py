@@ -5,8 +5,9 @@ sends state x to its set of successors; ``Nfa._rows`` indexes these images
 by state index, and ``walk`` runs a word through them as a frontier of
 indices.  Interval evaluation walks from the initial states and asks to meet
 an accepting one; trace evaluation asks for a closed walk, walking from each
-state in turn, and is invariant under rotation of the word.  A T-automaton
-runs words through the same walk over the points of its space.
+state in turn, and is invariant under rotation of the word.  Both are
+written once over the basis interface that a T-automaton shares and the
+diagram evaluator reads: the cached ``_index``, ``_rows``, ``_up``, ``_ends``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ def walk(rows, seeds, word) -> set:
     for a in word:
         frontier = set().union(*map(rows[a].__getitem__, frontier))
     return frontier
+
+
+def interval_eval(self, w) -> bool:
+    """True iff w carries the initial set into one meeting the accepting set."""
+    rows = self._rows
+    initial, accepting = self._ends
+    return not walk(rows, initial, checked_word(rows, w)).isdisjoint(accepting)
+
+
+def trace_eval(self, w) -> bool:
+    """True iff x lies in the image of U_x under w for some basis element x."""
+    rows = self._rows
+    word = checked_word(rows, w)
+    return any(i in walk(rows, u, word) for i, u in enumerate(self._up))
 
 
 def rotations(w) -> list:
@@ -157,6 +172,15 @@ class Nfa:
         return rows
 
     @cached_property
+    def _up(self) -> list:
+        return [{i} for i in range(len(self.states))]
+
+    @cached_property
+    def _ends(self) -> tuple:
+        groups = self.initial, self.accepting
+        return tuple(sorted(map(self._index.get, g)) for g in groups)
+
+    @cached_property
     def _edges(self) -> tuple:
         """(out-edges, in-edges): each maps a state to the (letter, other
         end) pairs of the transitions leaving, or entering, it."""
@@ -206,19 +230,8 @@ class Nfa:
 
     # -- evaluations -------------------------------------------------------
 
-    def interval_eval(self, w) -> bool:
-        """True iff some path spelling w runs from an initial to an
-        accepting state."""
-        word = checked_word(self._rows, w)
-        idx = self._index
-        reached = walk(self._rows, [idx[q] for q in self.initial], word)
-        return not reached.isdisjoint([idx[q] for q in self.accepting])
-
-    def trace_eval(self, w) -> bool:
-        """True iff some state carries a closed walk spelling w."""
-        rows = self._rows
-        word = checked_word(rows, w)
-        return any(i in walk(rows, (i,), word) for i in range(len(self.states)))
+    interval_eval = interval_eval
+    trace_eval = trace_eval
 
     def circular_through_subset(self, marked, w) -> bool:
         """True iff some cyclic path spelling w (up to rotation) visits a
@@ -255,9 +268,8 @@ class Nfa:
 
     def interval_language(self, max_len: int) -> set:
         """All accepted words of length <= max_len (as letter tuples)."""
-        idx = self._index
-        ends = tuple({idx[q] for q in g} for g in (self.initial, self.accepting))
-        return self._language(max_len, [ends])
+        initial, accepting = self._ends
+        return self._language(max_len, [(set(initial), accepting)])
 
     def trace_language(self, max_len: int) -> set:
         """All words of length <= max_len carried by some closed walk."""

@@ -155,8 +155,13 @@ def _cmd_dot(args) -> int:
     for q in nfa.states:
         shape = "doublecircle" if q in nfa.accepting else "circle"
         lines.append(f"  {ids[q]} [shape={shape}];")
+    # start nodes share the states' namespace: lengthen their prefix until
+    # no state name begins with it
+    prefix = "__start"
+    while any(q.startswith(prefix) for q in nfa.states):
+        prefix = "_" + prefix
     for i, q in enumerate(sorted(nfa.initial)):
-        start = _dot_id(f"__start{i}")
+        start = _dot_id(f"{prefix}{i}")
         lines.append(f"  {start} [shape=none, label={_dot_id('')}];")
         lines.append(f"  {start} -> {ids[q]};")
     for q, a, r in sorted(nfa.delta):

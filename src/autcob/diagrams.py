@@ -248,7 +248,9 @@ class Diagram:
         return " ; ".join(" ".join(g.token() for g in slc) for slc in self.slices)
 
     def to_json_dict(self) -> dict:
-        return {"slices": [[g.to_json_dict() for g in slc] for slc in self.slices]}
+        # a sliceless identity keeps its domain as one id layer, as in to_text
+        slices = self.slices or identity_diagram(self.domain).slices
+        return {"slices": [[g.to_json_dict() for g in slc] for slc in slices]}
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_json_dict(), **kw)

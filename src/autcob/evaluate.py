@@ -42,12 +42,13 @@ transpose on '-' wires).  ``_model`` writes every generator image once,
 in terms of U; the identity wire's is E.  Each image is balanced by these
 idempotents (E' G E = G), so only a bare strand, a component that meets
 no generator, takes E; every other identity wire is an index operation.
-A '+' dot's table is the letter's successor rows, the ones ``walk``
-reads, and the '+' wire's is U itself; neither is copied.
 
-An automaton is the model with U_q = {q}, over any semiring: E is the
-identity table, and foam vertices are refused.  A T-automaton takes U_x
-from its space, over BOOL; on a discrete space it is the automaton's.
+An automaton and a T-automaton present one basis interface, the cached
+tables that their word queries read as well; a '+' dot's table is the
+letter's rows and a '+' wire's is U, neither copied.  An automaton is the
+model with U_q = {q}, over any semiring (E is the identity table; foam
+vertices are refused), and a T-automaton takes U_x from its space, over
+BOOL; on a discrete space both hold the same tables.
 """
 
 from __future__ import annotations
@@ -236,12 +237,19 @@ def _spread(n, places, width, scale) -> list:
     return offsets
 
 
-def _run(diagram: Diagram, ring: Semiring, n: int, gen_image) -> Evaluation:
-    """``gen_image(g)`` is the table of the generator g, the identity wire
-    (E) included.  Before anything is allocated, the result and each
-    component's running tensor (n^(widest boundary + |domain|)) are held
-    to ``MAX_DIM_PRODUCT``."""
-    dom, cod = diagram.typecheck()
+def _run(machine, diagram: Diagram, ring: Semiring, foam=True) -> Evaluation:
+    """Evaluate ``diagram`` in the module model of ``machine`` once its
+    letters are known; without ``foam``, foam vertices are refused.  Before
+    anything is allocated, the result and each component's running tensor
+    (n^(widest boundary + |domain|)) are held to ``MAX_DIM_PRODUCT``."""
+    unknown = diagram.letters().difference(machine._rows)
+    if unknown:
+        raise KeyError(f"unknown letters {sorted(unknown)}")
+    kinds = set() if foam else {g.kind for slc in diagram.slices for g in slc} & _FOAM
+    if kinds:
+        raise ValueError(f"{min(kinds)} needs a topological state space; convert the"
+                         " automaton to a discrete-space T-automaton first")
+    n, dom, cod = len(machine._up), diagram.domain, diagram.codomain
     _guard(n, "the result", f"{len(cod)} codomain and {len(dom)} domain wires",
            len(cod) + len(dom))
     parts = _components(diagram, dom, cod)
@@ -250,7 +258,7 @@ def _run(diagram: Diagram, ring: Semiring, n: int, gen_image) -> Evaluation:
         _guard(n, f"component {k} of {len(parts)}",
                f"{widest} boundary and {len(dpos)} domain wires", widest + len(dpos))
     rows, cols = n ** len(cod), n ** len(dom)
-    image = cache(gen_image)
+    image = cache(_model(machine))
     mul = ring.mul
     found = None  # (flat offset, value) for each nonzero of the result so far
     for dpos, slices, cpos in parts:
@@ -273,18 +281,18 @@ def _run(diagram: Diagram, ring: Semiring, n: int, gen_image) -> Evaluation:
     return Evaluation(Mat(ring, rows, cols, tuple(ent)))
 
 
-def _model(up, letters, initial, accepting, index):
-    """The module model of a state space with basis 0..n-1.
-
-    ``up[x]`` is the set of basis indices in U_x; ``letters[a][x]`` is the
-    set of those in the image of x under the letter a (the automaton's or
-    T-automaton's ``_rows``); ``initial`` and ``accepting`` list
-    the indices of the initial open and the accepting closed set; ``index``
-    maps an endpoint label to its basis index.  Returns the image function
-    ``_run`` takes, where the identity wire's image is E: ``up`` on '+',
-    ``down`` on '-'.  Every image has value one on each pair it relates, so
-    the tables hold no values; ``up`` and the rows of ``letters`` serve as
-    tables themselves and are never copied or changed."""
+def _model(machine):
+    """The module model of an automaton or T-automaton, read from its basis
+    interface over the indices 0..n-1: ``_up[x]`` holds those in U_x ({q}
+    on an automaton), ``_rows[a][x]`` those in the image of x under the
+    letter a, ``_ends`` those of the initial open and the accepting closed
+    set, and ``_index`` maps an endpoint label to its index.  Returns the
+    image function ``_run`` caches, where the identity wire's image is E:
+    ``up`` on '+', ``down`` on '-'.  Every image has value one on each pair
+    it relates, so the tables hold no values; the interface's tables serve
+    as tables themselves and are never copied or changed."""
+    index, letters, up = machine._index, machine._rows, machine._up
+    initial, accepting = machine._ends
     n = len(up)
     every = range(n)
     # down[x]: the points of the closure of x
@@ -342,26 +350,10 @@ def _model(up, letters, initial, accepting, index):
     return image
 
 
-# -- free modules (automata) --------------------------------------------------
-
-
 def eval_nfa(nfa: Nfa, diagram: Diagram, ring: Semiring = BOOL) -> Evaluation:
     """Evaluate a defect diagram in the free module on the states: the
     module model with U_q = {q}, over any semiring."""
-    unknown = diagram.letters() - set(nfa.alphabet)
-    if unknown:
-        raise KeyError(f"unknown letters {sorted(unknown)}")
-    foam = {g.kind for slc in diagram.slices for g in slc} & _FOAM
-    if foam:
-        raise ValueError(
-            f"{min(foam)} needs a topological state space; convert the"
-            " automaton to a discrete-space T-automaton first"
-        )
-    idx = nfa._index
-    up = [frozenset((x,)) for x in range(len(nfa.states))]
-    initial = [idx[q] for q in nfa.initial]
-    accepting = [idx[q] for q in nfa.accepting]
-    return _run(diagram, ring, len(up), _model(up, nfa._rows, initial, accepting, idx))
+    return _run(nfa, diagram, ring, foam=False)
 
 
 def eval_interval(nfa: Nfa, w) -> bool:
@@ -374,17 +366,8 @@ def eval_circle(nfa: Nfa, w) -> bool:
     return eval_nfa(nfa, circle_diagram(as_word(w))).scalar() == BOOL.one
 
 
-# -- projective modules (T-automata) ------------------------------------------
-
-
 def eval_tautomaton(taut: TAutomaton, diagram: Diagram) -> Evaluation:
     """Evaluate a diagram, foam vertices included, in the ambient free
     module on the points of the space: the module model with the minimal
     open sets of the space, over BOOL."""
-    unknown = diagram.letters() - set(taut.alphabet)
-    if unknown:
-        raise KeyError(f"unknown letters {sorted(unknown)}")
-    idx, up = taut._index, taut._up
-    initial = [idx[p] for p in taut.initial_open]
-    accepting = [idx[p] for p in taut.accepting_closed]
-    return _run(diagram, BOOL, len(up), _model(up, taut._rows, initial, accepting, idx))
+    return _run(taut, diagram, BOOL)

@@ -7,8 +7,8 @@ lattice under union and intersection, and every lattice endomorphism that
 respects unions is determined by its values on the U_x, subject to
 monotonicity.  A T-automaton runs letters as such endomorphisms, with an
 open initial set and a closed accepting set; for a discrete space this is
-exactly a nondeterministic finite automaton, and words run through the
-automaton's subset walk: a letter sends U_x to T(U_x).
+exactly a nondeterministic finite automaton.  It presents the automaton's
+basis interface over its points, where a letter sends U_x to T(U_x).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product
 
-from .automaton import Nfa, checked_word, json_list, read_json, walk
+from .automaton import Nfa, interval_eval, json_list, read_json, trace_eval
 from .errors import CapacityError
 
 OPENS_CAP = 1 << 16
@@ -417,18 +417,13 @@ class TAutomaton:
             for a, t in self.letters.items()
         }
 
-    def interval_eval(self, w) -> bool:
-        """True iff the accepting set meets the image of the initial set."""
-        word = checked_word(self._rows, w)
-        idx = self._index
-        reached = walk(self._rows, [idx[x] for x in self.initial_open], word)
-        return not reached.isdisjoint([idx[x] for x in self.accepting_closed])
+    @cached_property
+    def _ends(self) -> tuple:
+        groups = self.initial_open, self.accepting_closed
+        return tuple(sorted(map(self._index.get, g)) for g in groups)
 
-    def trace_eval(self, w) -> bool:
-        """True iff x lies in the word image of U_x for some point x."""
-        rows = self._rows
-        word = checked_word(rows, w)
-        return any(i in walk(rows, u, word) for i, u in enumerate(self._up))
+    interval_eval = interval_eval
+    trace_eval = trace_eval
 
     # -- JSON ---------------------------------------------------------------
 

@@ -204,6 +204,27 @@ def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     ]
 
 
+def test_dot_start_nodes_never_take_a_state_name(tmp_path, capsys):
+    states = ["__start0", "__start1", "s"]
+    nfa = Nfa.make(states, ["a"], [("__start0", "a", "s")], ["__start0", "s"], ["s"])
+    path = tmp_path / "starts.json"
+    path.write_text(nfa.to_json())
+    code, out, err = run(capsys, "dot", "--automaton", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[3:-1]
+    assert lines[:3] == [
+        '  "__start0" [shape=circle];',
+        '  "__start1" [shape=circle];',
+        '  "s" [shape=doublecircle];',
+    ]
+    starts = [dot_strings(line) for line in lines[3:7]]
+    assert starts == [
+        ["___start0", ""], ["___start0", "__start0"],
+        ["___start1", ""], ["___start1", "s"],
+    ]
+    assert [dot_strings(line) for line in lines[7:]] == [["__start0", "s", "a"]]
+
+
 def test_oracle_sweep(capsys):
     code, out, _ = run(capsys, "oracle", "sweep", "--automaton", A2_PATH,
                        "--max-len", "4")

@@ -24,7 +24,9 @@ from autcob.diagrams import (
     tensor,
 )
 from autcob.errors import DiagramTypeError, ParseError
-from util import random_closed_diagram, random_diagram
+from autcob.evaluate import eval_nfa
+from autcob.semiring import BOOL, identity
+from util import A2, random_closed_diagram, random_diagram
 
 seeds = st.integers(0, 10**6)
 
@@ -164,6 +166,13 @@ def test_json_round_trip(seed):
     rng = random.Random(seed)
     d = random_diagram(rng, max_width=5, max_slices=6, foam=True, labels=("q1",))
     assert Diagram.from_json(d.to_json()) == d
+    # a sliceless identity comes back as one id layer on the same wires
+    signs = tuple(rng.choice("+-") for _ in range(rng.randint(0, 3)))
+    bare = Diagram.make([], signs)
+    back = Diagram.from_json(bare.to_json())
+    assert (back.domain, back.codomain) == (signs, signs)
+    assert eval_nfa(A2, back).matrix == eval_nfa(A2, bare).matrix
+    assert eval_nfa(A2, back).matrix == identity(BOOL, 2 ** len(signs))
 
 
 def test_json_rejects_unknown_keys():

@@ -26,7 +26,7 @@ from autcob.diagrams import (
     tensor,
 )
 from autcob import evaluate
-from autcob.errors import CapacityError
+from autcob.errors import CapacityError, DiagramTypeError
 from autcob.evaluate import (
     MAX_DIM_PRODUCT,
     eval_circle,
@@ -193,9 +193,15 @@ def test_bare_strands_take_the_wire_idempotent(seed):
         assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
 
 
+def basis_tables(machine):
+    """The basis interface that word queries and the evaluator read."""
+    return machine._index, machine._rows, machine._up, machine._ends
+
+
 def test_evaluation_leaves_the_rows_it_reads_unchanged():
-    # '+' dots read Nfa._rows and TAutomaton._rows as their tables, and
-    # bare '+' strands read TAutomaton._up: no evaluation may change them
+    # '+' dots read Nfa._rows and TAutomaton._rows as their tables, bare '+'
+    # strands read _up, and a birth's table is the cached _ends list itself:
+    # no evaluation may change them
     rng = random.Random(10)
     letters = ("a", "b")
     words = list(all_words(letters, 3))
@@ -215,14 +221,14 @@ def test_evaluation_leaves_the_rows_it_reads_unchanged():
     for _ in range(5):
         nfa = random_nfa(rng, max_states=4, alphabet=letters)
         taut = random_tautomaton(rng, max_points=4, alphabet=letters)
-        before = copy.deepcopy((nfa._rows, taut._rows, taut._up))
+        before = copy.deepcopy([basis_tables(m) for m in (nfa, taut)])
         answers = [(m.interval_eval(w), m.trace_eval(w)) for m in (nfa, taut) for w in words]
         for d in diagrams(False, nfa.states):
             for ring in (BOOL, NAT):
                 eval_nfa(nfa, d, ring)
         for d in diagrams(True, taut.space.points):
             eval_tautomaton(taut, d)
-        assert (nfa._rows, taut._rows, taut._up) == before
+        assert [basis_tables(m) for m in (nfa, taut)] == before
         assert answers == [
             (m.interval_eval(w), m.trace_eval(w)) for m in (nfa, taut) for w in words
         ]
@@ -423,6 +429,38 @@ def test_unknown_diagram_letters_rejected():
         eval_nfa(A2, d)
     with pytest.raises(KeyError):
         eval_tautomaton(discrete(A2), d)
+
+
+def test_unknown_letter_is_refused_before_a_foam_vertex():
+    d = Diagram.make([[UNIT], [dot("z")], [COUNIT]])
+    with pytest.raises(KeyError, match=r"unknown letters \['z'\]"):
+        eval_nfa(A2, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_an_automaton_and_its_discrete_space_hold_the_same_tables(seed):
+    nfa = random_nfa(random.Random(seed), max_states=5)
+    assert basis_tables(nfa) == basis_tables(discrete(nfa))
+
+
+def test_an_ill_typed_diagram_fails_on_every_evaluation():
+    # the codomain is cached once typechecked; a failed typecheck is not
+    d = Diagram.make([[cup("+")], [ident("-"), ident("+")]])
+    for _ in range(2):
+        with pytest.raises(DiagramTypeError) as err:
+            eval_nfa(A2, d)
+        assert err.value.slice_index == 1
+
+
+def test_a_diagram_is_typechecked_once(monkeypatch):
+    d = circle_diagram("aa")
+    calls = []
+    typecheck = Diagram.typecheck
+    monkeypatch.setattr(Diagram, "typecheck", lambda e: calls.append(e) or typecheck(e))
+    assert eval_nfa(A2, d).scalar() == eval_tautomaton(discrete(A2), d).scalar() == 1
+    assert eval_nfa(A2, d, NAT).scalar() == 2  # from q1 and from q2
+    assert calls == [d]
 
 
 # -- foam laws ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import logging
 import os
 import subprocess
@@ -6,7 +8,8 @@ from pathlib import Path
 
 import autcob  # noqa: F401  (the import installs the handler)
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_package_logger_has_a_null_handler():
@@ -25,3 +28,20 @@ def test_import_writes_nothing_to_stderr():
     )
     assert done.stderr == ""
     assert done.stdout == ""
+
+
+def test_every_traced_target_resolves():
+    # the benchmark's tracer finds a method in its class's own __dict__, so
+    # an inherited or renamed method breaks every traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, module, path, _ in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            assert attr in vars(getattr(owner, cls_name)), name
+        else:
+            assert callable(getattr(owner, path, None)), name
