@@ -263,7 +263,7 @@ class Nfa:
                     step = [(walk(self._rows, f, (a,)), t) for f, t in live]
                     grow(word + (a,), [(f, t) for f, t in step if f])
 
-        grow((), starts)
+        grow((), starts if max_len >= 0 else [])
         return out
 
     def interval_language(self, max_len: int) -> set:

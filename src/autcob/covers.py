@@ -108,6 +108,9 @@ def _structure_ok(p: GraphMap, cover: Nfa, base: Nfa) -> bool:
     missing = set(cover.states) - set(vm)
     if missing or set(cover.delta) - set(p.edge_map):
         raise ValueError("map is not total on the cover")
+    stray = set(vm).difference(cover.states)
+    if stray:
+        raise ValueError(f"vertex map names no cover state: {sorted(stray, key=str)}")
     # surjective on states, consistent and label-preserving on edges
     if set(vm.values()) != set(base.states):
         return False

@@ -13,27 +13,27 @@ Conventions, fixed once and used everywhere:
 
 Evaluation is a symmetric monoidal functor, so the whole-boundary layer of
 a slice (the Kronecker product of its generators) is never built.  The
-evaluator keeps one sparse running tensor, a dict from one flat index to
+evaluator keeps a sparse running tensor, a dict from one flat index to
 its nonzero value, and contracts wire by wire.  The flat index is that of
 the current boundary basis tuple (radix n, leftmost wire slowest) times
-the domain columns, plus the domain column; after the last slice of a
-connected diagram it is the row-major offset in the result.  Each
-generator acts on its own 0-2 wires through a table: a list, by the flat
-index of its input tuple, of the flat indices of the output tuples it
-reaches.  Every generator image is a 0/1 relation, so tables hold no
-values, and the kernel only adds, when two paths reach one index.
-Identity wires take no step; a swap is a table like any other.
+the domain columns, plus the domain column; after the last step it is the
+row-major offset in the matrix being built.  Each generator acts on its
+own 0-2 wires through a table: a list, by the flat index of its input
+tuple, of the flat indices of the output tuples it reaches.  Every
+generator image is a 0/1 relation, so tables hold no values, and the
+kernel only adds, when two paths reach one index.  Identity wires take no
+step; a swap is a table like any other.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
-that share no wire are never contracted together.  One union-find pass
-over the wire segments splits the diagram into connected components (a
-swap joins nothing; one between two components is an identity wire in
-each), and each component runs through its own running tensor.  A closed
-diagram's value is the product of the component scalars, and a component
-that evaluates to zero ends the loop.  An open diagram's nonzeros are the
-products of one nonzero from each component, each placed at the sum of its
-wires' offsets in the result, and the dense matrix is written once, at
-the end.
+that share no wire are never contracted together.  ``_plan`` threads the
+wire segments once with a union-find and hands back each connected
+component as its own step list (a swap joins nothing, and one between two
+components takes no step); each component runs through its own running
+tensor.  The result's nonzeros start as the unit and take the product
+with each component's, each placed at the sum of its wires' offsets in
+the result, so a closed diagram's value is the product of the component
+scalars (the unit when there is none), and a component that evaluates to
+zero ends the loop.  The dense matrix is written once, at the end.
 
 Every wire carries one module model: the free module on a finite basis
 (states or points) with a minimal open set U_x around each basis element,
@@ -97,32 +97,6 @@ def _table(size, pairs) -> list:
     return out
 
 
-def _steps(slc, image, n, cols) -> list:
-    """One slice as (stride, n^inputs, n^outputs, table) steps; identity
-    wires take no step.  The stride is n to the power of the wires right of
-    the step, on the boundary as it stands when the step runs, times the
-    domain columns.  Shrinking generators go first, so no boundary in
-    between is wider than the slice's input or output."""
-    order = sorted(
-        (len(g.outputs()) - len(g.inputs()), k)
-        for k, g in enumerate(slc)
-        if g.kind != "id"
-    )
-    done = set()
-    steps = []
-    for _, k in order:
-        right = sum(
-            len(h.outputs() if j in done else h.inputs())
-            for j, h in enumerate(slc[k + 1:], k + 1)
-        )
-        g = slc[k]
-        steps.append(
-            (n ** right * cols, n ** len(g.inputs()), n ** len(g.outputs()), image(g))
-        )
-        done.add(k)
-    return steps
-
-
 def _apply(add, tensor, stride, m_in, m_out, table) -> dict:
     """One step: in each key, the digit the step reads (``q % m_in``, with
     ``q = key // stride``) gives way to each output the table lists for
@@ -141,17 +115,24 @@ def _apply(add, tensor, stride, m_in, m_out, table) -> dict:
     return out
 
 
-def _components(diagram: Diagram, dom, cod) -> list:
-    """Split a typechecked diagram into its connected components.
+def _plan(diagram: Diagram, n) -> list:
+    """Plan a typechecked diagram one connected component at a time.
 
     One pass threads the wire segments through the slices with a
-    union-find: identity wires and swaps carry their segments through, and
-    every other generator joins all its input and output segments.  Each
-    component, in the order its first segment is met (domain wires left to
-    right, then slice by slice), comes back as its domain positions, its
-    slices and its codomain positions.  A swap whose strands lie in
-    different components is an identity wire in each.  A connected
-    diagram comes back whole."""
+    union-find and records each generator's input and output segments:
+    identity wires carry their segments through, swaps cross them, and
+    every other generator joins all of its own.  One walk over the records
+    then gives each component, in the order its first segment is met
+    (domain wires left to right, then slice by slice), its domain
+    positions, its codomain positions, its widest boundary and its steps
+    (stride, n^inputs, n^outputs, generator).  The stride is n to the power
+    of the component's segments right of the step, on the boundary as it
+    stands when the step runs, times the component's domain columns.
+    Shrinking generators go first, so no boundary in between is wider than
+    the slice's input or output.  Identity wires take no step, nor does a swap
+    between two components; a bare strand, a component that meets no
+    generator, takes its wire's E."""
+    dom = diagram.domain
     parent = list(range(len(dom)))
 
     def find(x):
@@ -161,69 +142,64 @@ def _components(diagram: Diagram, dom, cod) -> list:
         return x
 
     boundary = list(range(len(dom)))
-    marks = []  # per slice, per generator: a segment it touches (a swap: both)
+    records = []  # per slice, per generator: (generator, inputs, outputs)
     for slc in diagram.slices:
-        out, row, pos = [], [], 0
+        row, out, pos = [], [], 0
         for g in slc:
-            if g.kind == "id":
-                out.append(boundary[pos])
-                row.append((boundary[pos],))
-                pos += 1
-            elif g.kind == "swap":
-                a, b = boundary[pos], boundary[pos + 1]
-                out += (b, a)
-                row.append((a, b))
-                pos += 2
+            end = pos + len(g.inputs())
+            ins = boundary[pos:end]
+            if g.kind in ("id", "swap"):
+                outs = ins[::-1]
             else:
-                end = pos + len(g.inputs())
-                segs = boundary[pos:end]
-                new = range(len(parent), len(parent) + len(g.outputs()))
-                parent.extend(new)
-                segs += new
+                outs = list(range(len(parent), len(parent) + len(g.outputs())))
+                parent.extend(outs)
+                segs = ins + outs
                 root = find(segs[0])
                 for x in segs[1:]:
                     parent[find(x)] = root
-                out += new
-                row.append(segs[:1])
-                pos = end
-        marks.append(row)
+            row.append((g, ins, outs))
+            out += outs
+            pos = end
+        records.append(row)
         boundary = out
     order = {}
-    for x in range(len(parent)):
-        order.setdefault(find(x), len(order))
-    if len(order) <= 1:
-        return [(range(len(dom)), diagram.slices, range(len(cod)))]
-    comp = [order[find(x)] for x in range(len(parent))]
-    parts = [([], [], []) for _ in order]
+    comp = [order.setdefault(find(x), len(order)) for x in range(len(parent))]
+    parts = [([], [], []) for _ in order]  # domain and codomain positions, steps
     for i in range(len(dom)):
         parts[comp[i]][0].append(i)
-    for slc, row in zip(diagram.slices, marks):
-        split = {}
-        for g, segs in zip(slc, row):
-            if g.kind == "swap" and comp[segs[0]] != comp[segs[1]]:
-                split.setdefault(comp[segs[0]], []).append(ident(g.sign))
-                split.setdefault(comp[segs[1]], []).append(ident(g.sign2))
-            else:
-                split.setdefault(comp[segs[0]], []).append(g)
-        for c, gens in split.items():
-            parts[c][1].append(gens)
+    width = [len(dpos) for dpos, _, _ in parts]
+    widest = width[:]
+    for row in records:
+        now = [ins for _, ins, _ in row]  # the slice's boundary as its steps run
+        for _, k in sorted(
+            (len(outs) - len(ins), k)
+            for k, (g, ins, outs) in enumerate(row)
+            if g.kind != "id" and (g.kind != "swap" or comp[ins[0]] == comp[ins[1]])
+        ):
+            g, ins, outs = row[k]
+            c = comp[(ins or outs)[0]]
+            now[k] = outs
+            right = sum(comp[x] == c for segs in now[k + 1:] for x in segs)
+            dpos, _, steps = parts[c]
+            steps.append((n ** (right + len(dpos)), n ** len(ins), n ** len(outs), g))
+            width[c] += len(outs) - len(ins)
+            widest[c] = max(widest[c], width[c])
     for j, x in enumerate(boundary):
-        parts[comp[x]][2].append(j)
-    return parts
+        parts[comp[x]][1].append(j)
+    return [
+        (dpos, cpos, w, steps or [(n, n, n, ident(dom[dpos[0]]))])
+        for (dpos, cpos, steps), w in zip(parts, widest)
+    ]
 
 
-def _contract(ring, n, image, dom, slices) -> dict:
-    """The nonzeros of one connected diagram, keyed by the flat index of
-    its codomain basis tuple times its domain columns plus its domain
-    column: the row-major offset in its own matrix.  A bare strand, with
-    a domain wire and no step, applies its wire's E."""
-    cols = n ** len(dom)
+def _contract(ring, image, cols, steps) -> dict:
+    """The nonzeros of one component, keyed by the flat index of its
+    codomain basis tuple times its ``cols`` domain columns plus its domain
+    column: the row-major offset in its own matrix.  Each step's table is
+    built here, after every guard has passed."""
     tensor = {col * cols + col: ring.one for col in range(cols)}
-    steps = [step for slc in slices for step in _steps(slc, image, n, cols)]
-    if dom and not steps:
-        steps = [(cols, n, n, image(ident(dom[0])))]
-    for step in steps:
-        tensor = _apply(ring.add, tensor, *step)
+    for stride, m_in, m_out, g in steps:
+        tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
     return tensor
 
 
@@ -240,8 +216,9 @@ def _spread(n, places, width, scale) -> list:
 def _run(machine, diagram: Diagram, ring: Semiring, foam=True) -> Evaluation:
     """Evaluate ``diagram`` in the module model of ``machine`` once its
     letters are known; without ``foam``, foam vertices are refused.  Before
-    anything is allocated, the result and each component's running tensor
-    (n^(widest boundary + |domain|)) are held to ``MAX_DIM_PRODUCT``."""
+    any tensor or table is allocated, the result and each planned
+    component's running tensor (n^(widest boundary + |domain|)) are held to
+    ``MAX_DIM_PRODUCT``."""
     unknown = diagram.letters().difference(machine._rows)
     if unknown:
         raise KeyError(f"unknown letters {sorted(unknown)}")
@@ -252,27 +229,23 @@ def _run(machine, diagram: Diagram, ring: Semiring, foam=True) -> Evaluation:
     n, dom, cod = len(machine._up), diagram.domain, diagram.codomain
     _guard(n, "the result", f"{len(cod)} codomain and {len(dom)} domain wires",
            len(cod) + len(dom))
-    parts = _components(diagram, dom, cod)
-    for k, (dpos, slices, _) in enumerate(parts, 1):
-        widest = max([len(dpos)] + [sum(len(g.outputs()) for g in s) for s in slices])
+    parts = _plan(diagram, n)
+    for k, (dpos, _, widest, _) in enumerate(parts, 1):
         _guard(n, f"component {k} of {len(parts)}",
                f"{widest} boundary and {len(dpos)} domain wires", widest + len(dpos))
     rows, cols = n ** len(cod), n ** len(dom)
     image = cache(_model(machine))
     mul = ring.mul
-    found = None  # (flat offset, value) for each nonzero of the result so far
-    for dpos, slices, cpos in parts:
-        tensor = _contract(ring, n, image, [dom[p] for p in dpos], slices)
+    found = [(0, ring.one)]  # (flat offset, value) of each nonzero so far
+    for dpos, cpos, _, steps in parts:
         width = n ** len(dpos)
+        tensor = _contract(ring, image, width, steps)
         at_row = _spread(n, cpos, len(cod), cols)
         at_col = _spread(n, dpos, len(dom), 1)
         nonzeros = [
             (at_row[key // width] + at_col[key % width], v) for key, v in tensor.items()
         ]
-        if found is None:
-            found = nonzeros
-        else:
-            found = [(o1 + o2, mul(v1, v2)) for o1, v1 in found for o2, v2 in nonzeros]
+        found = [(o1 + o2, mul(v1, v2)) for o1, v1 in found for o2, v2 in nonzeros]
         if not found:
             break
     ent = [ring.zero] * (rows * cols)

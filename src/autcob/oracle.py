@@ -305,5 +305,6 @@ def regex_language(pattern, alphabet, max_len: int) -> set:
             if d is not EMPTY:
                 walk(word + (a,), d)
 
-    walk((), root)
+    if max_len >= 0:
+        walk((), root)
     return out

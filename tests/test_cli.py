@@ -138,6 +138,23 @@ def test_cover_cyclic_and_check(tmp_path, capsys):
     assert (code, out.strip()) == (0, "1")
 
 
+def test_cover_check_refuses_a_map_key_that_names_no_cover_state(tmp_path, capsys):
+    base = Nfa.make(["a", "b"], ["x"], [("a", "x", "a")], ["b"], ["b"])
+    cover = Nfa.make(["a0"], ["x"], [("a0", "x", "a0")], [], [])
+    paths = {}
+    for name, data in (("base", base.to_json()), ("cover", cover.to_json()),
+                       ("map", json.dumps({"vertices": {"a0": "a", "junk": "b"}}))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(data)
+    for weak in ((), ("--weak",)):
+        code, out, err = run(
+            capsys, "cover", "check", "--map", str(paths["map"]),
+            "--cover", str(paths["cover"]), "--base", str(paths["base"]), *weak,
+        )
+        assert (code, out) == (2, "")
+        assert "junk" in err
+
+
 def test_cover_voltage_defaults_to_identity(tmp_path, capsys):
     out_path = tmp_path / "cover.json"
     code, _, _ = run(

@@ -270,6 +270,20 @@ def test_non_total_map_raises():
         is_covering(p, cover, A2)
 
 
+STRAY_BASE = Nfa.make(["a", "b"], ["x"], [("a", "x", "a")], ["b"], ["b"])
+STRAY_COVER = Nfa.make(["a0"], ["x"], [("a0", "x", "a0")], [], [])
+
+
+def test_a_vertex_map_key_that_names_no_cover_state_raises():
+    # "junk" would make the map look onto the base, yet the base accepts
+    # the empty word and the cover does not
+    assert STRAY_BASE.interval_eval(()) and not STRAY_COVER.interval_eval(())
+    p = GraphMap.from_vertex_map(STRAY_COVER, STRAY_BASE, {"a0": "a", "junk": "b"})
+    for check in (is_covering, is_weak_covering):
+        with pytest.raises(ValueError, match=r"no cover state: \['junk'\]"):
+            check(p, STRAY_COVER, STRAY_BASE)
+
+
 def test_label_mismatch_fails_structure():
     base = Nfa.make(["q"], ["a", "b"], [("q", "a", "q"), ("q", "b", "q")], [], [])
     cover = Nfa.make(["q@0"], ["a", "b"], [("q@0", "a", "q@0")], [], [])

@@ -111,6 +111,14 @@ def test_floating_interval_needs_overlap():
     assert eval_tautomaton(t2, d).scalar() == 1
 
 
+def test_a_diagram_with_no_wires_evaluates_to_the_unit():
+    t = TAutomaton.make(S2, (), {"x"}, {"y"}, {})
+    for d in (Diagram.make([]), parse_diagram("")):
+        for ring in (BOOL, NAT):
+            assert eval_nfa(A2, d, ring).matrix.to_rows() == [[1]]
+        assert eval_tautomaton(t, d).matrix.to_rows() == [[1]]
+
+
 # -- wire-local contraction against dense layers ------------------------------------
 
 
@@ -536,8 +544,10 @@ def test_guard_bounds_the_result_before_evaluating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated past the guard")
 
-    # every running tensor is allocated inside the contraction
+    # every running tensor is allocated inside the contraction, and every
+    # table is built through the model
     monkeypatch.setattr(evaluate, "_contract", no_allocation)
+    monkeypatch.setattr(evaluate, "_model", no_allocation)
     with pytest.raises(CapacityError) as err:
         eval_nfa(eight, identity_diagram(("+",) * 6))
     assert str(8**12) in str(err.value)
@@ -576,6 +586,7 @@ def test_guard_names_the_component_over_the_cap(monkeypatch):
         raise AssertionError("allocated past the guard")
 
     monkeypatch.setattr(evaluate, "_contract", no_allocation)
+    monkeypatch.setattr(evaluate, "_model", no_allocation)
     with pytest.raises(CapacityError) as err:
         eval_nfa(wide, d)
     assert "component 2 of 2" in str(err.value)
@@ -617,7 +628,6 @@ def test_strands_crossing_between_components_match_dense_layers(seed):
         ],
         domain=("+", "+", "-"),
     )
-    dom, cod = d.typecheck()
-    assert len(evaluate._components(d, dom, cod)) == 4
+    assert len(evaluate._plan(d, len(nfa.states))) == 4
     for ring in (BOOL, NAT):
         assert eval_nfa(nfa, d, ring).matrix == dense_eval_nfa(nfa, d, ring)

@@ -123,6 +123,12 @@ def test_regex_language_enumeration():
     assert {len(w) for w in lang} == {0, 2, 4, 6}
 
 
+def test_a_negative_length_bound_gives_no_words():
+    assert regex_language("a*", "ab", -1) == set()
+    assert A2.interval_language(-1) == A2.trace_language(-1) == set()
+    assert regex_language("a*", "ab", 0) == A2.trace_language(0) == {()}
+
+
 def test_two_cycle_interval_language_matches_regex():
     for w in all_words(("a",), 12):
         assert TWO_CYCLE.interval_eval(w) == regex_match("(aa)*", w)
