@@ -41,11 +41,16 @@ def checked_word(rows, w) -> Word:
 
 def walk(rows, seeds, word) -> set:
     """The basis indices reached from ``seeds`` along ``word``, where
-    ``rows[a][x]`` is the set of indices in the image of x under a.  Each
-    letter replaces the frontier by the union of its members' rows."""
+    ``rows[a][x]`` holds the indices in the image of x under a (the
+    evaluator walks its generator tables, indexed by step, the same way).
+    Each letter replaces the frontier by the union of its members' rows."""
     frontier = set(seeds)
     for a in word:
-        frontier = set().union(*map(rows[a].__getitem__, frontier))
+        row = rows[a]
+        # unpack a list, not an iterator: an iterator is first packed into a
+        # tuple of a guessed length and resized, and the resized tuples pile
+        # up on the interpreter's free lists
+        frontier = set().union(*[row[x] for x in frontier])
     return frontier
 
 
@@ -252,18 +257,21 @@ class Nfa:
 
     def _language(self, max_len: int, starts) -> set:
         """The words of length <= max_len that walk some (seeds, targets)
-        pair of ``starts`` from its seeds into its targets."""
-        out = set()
-
-        def grow(word, live):
-            if any(not f.isdisjoint(t) for f, t in live):
-                out.add(word)
-            if len(word) < max_len and live:
-                for a in self.alphabet:
-                    step = [(walk(self._rows, f, (a,)), t) for f, t in live]
-                    grow(word + (a,), [(f, t) for f, t in step if f])
-
-        grow((), starts if max_len >= 0 else [])
+        pair of ``starts`` from its seeds into its targets, grown one
+        length at a time; each word keeps the pairs still walking."""
+        rows, out = self._rows, set()
+        level = [((), starts)]
+        for length in range(max_len + 1):
+            if length:
+                grown = []
+                for word, live in level:
+                    for a in self.alphabet:
+                        step = [(walk(rows, f, (a,)), t) for f, t in live]
+                        step = [(f, t) for f, t in step if f]
+                        if step:
+                            grown.append((word + (a,), step))
+                level = grown
+            out.update(w for w, live in level if any(not f.isdisjoint(t) for f, t in live))
         return out
 
     def interval_language(self, max_len: int) -> set:

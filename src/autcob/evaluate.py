@@ -20,9 +20,13 @@ the domain columns, plus the domain column; after the last step it is the
 row-major offset in the matrix being built.  Each generator acts on its
 own 0-2 wires through a table: a list, by the flat index of its input
 tuple, of the flat indices of the output tuples it reaches.  Every
-generator image is a 0/1 relation, so tables hold no values, and the
-kernel only adds, when two paths reach one index.  Identity wires take no
-step; a swap is a table like any other.
+generator image is a 0/1 relation, so tables hold no values, and a step
+only adds, when two paths reach one index.  Identity wires take no step; a
+swap is a table like any other.  Over an idempotent semiring (BOOL) every
+value is one, and the sum over paths is the subset walk: each run of two
+or more steps on one block of digits (``birth+ ; dot... ; death+``, the
+dots of a circle) is one frontier walk with ``automaton.walk`` per group
+of keys that agree off the block.  Over NAT every step is applied alone.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
 that share no wire are never contracted together.  ``_plan`` threads the
@@ -56,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .automaton import Nfa, as_word
+from .automaton import Nfa, as_word, walk
 from .diagrams import _FOAM, Diagram, Gen, circle_diagram, ident, interval_diagram
 from .errors import CapacityError
 from .semiring import BOOL, Mat, Semiring
@@ -115,6 +119,40 @@ def _apply(add, tensor, stride, m_in, m_out, table) -> dict:
     return out
 
 
+def _runs(steps):
+    """A component's steps in maximal runs: each step in a run has the
+    stride of the one before it and reads what that one wrote (its n^in is
+    the other's n^out), so for n >= 2 the whole run reads and writes one
+    block of digits, the same in every key; for n <= 1 every digit is 0."""
+    run = []
+    for step in steps:
+        if run and (step[0] != run[-1][0] or step[1] != run[-1][2]):
+            yield run
+            run = []
+        run.append(step)
+    if run:
+        yield run
+
+
+def _walk(one, tensor, stride, m_in, m_out, tables) -> dict:
+    """A run of steps over an idempotent ring, where every value is one:
+    the keys that differ only in the block the run reads, ``q % m_in``
+    with ``q = key // stride``, walk their digits through the run's
+    ``tables`` together, as ``walk`` runs a word, and each digit reached
+    takes the block's place in the key."""
+    groups = {}
+    for key in tensor:
+        q = key // stride
+        groups.setdefault((q // m_in, key % stride), []).append(q % m_in)
+    word = range(len(tables))
+    out = {}
+    for (hi, lo), digits in groups.items():
+        hi *= m_out
+        for o in walk(tables, digits, word):
+            out[(hi + o) * stride + lo] = one
+    return out
+
+
 def _plan(diagram: Diagram, n) -> list:
     """Plan a typechecked diagram one connected component at a time.
 
@@ -151,7 +189,8 @@ def _plan(diagram: Diagram, n) -> list:
             if g.kind in ("id", "swap"):
                 outs = ins[::-1]
             else:
-                outs = list(range(len(parent), len(parent) + len(g.outputs())))
+                first = len(parent)
+                outs = list(range(first, first + len(g.outputs())))
                 parent.extend(outs)
                 segs = ins + outs
                 root = find(segs[0])
@@ -170,20 +209,24 @@ def _plan(diagram: Diagram, n) -> list:
     width = [len(dpos) for dpos, _, _ in parts]
     widest = width[:]
     for row in records:
+        moves = [k for k, (g, ins, _) in enumerate(row)
+                 if g.kind != "id" and (g.kind != "swap" or comp[ins[0]] == comp[ins[1]])]
+        if len(moves) > 1:  # shrinking generators first, each kept in slice order
+            moves.sort(key=lambda k: len(row[k][2]) - len(row[k][1]))
         now = [ins for _, ins, _ in row]  # the slice's boundary as its steps run
-        for _, k in sorted(
-            (len(outs) - len(ins), k)
-            for k, (g, ins, outs) in enumerate(row)
-            if g.kind != "id" and (g.kind != "swap" or comp[ins[0]] == comp[ins[1]])
-        ):
+        for k in moves:
             g, ins, outs = row[k]
             c = comp[(ins or outs)[0]]
             now[k] = outs
-            right = sum(comp[x] == c for segs in now[k + 1:] for x in segs)
+            right = 0  # the component's segments right of the step
+            if k + 1 < len(row):
+                right = sum(comp[x] == c for segs in now[k + 1:] for x in segs)
             dpos, _, steps = parts[c]
-            steps.append((n ** (right + len(dpos)), n ** len(ins), n ** len(outs), g))
-            width[c] += len(outs) - len(ins)
-            widest[c] = max(widest[c], width[c])
+            i, o = len(ins), len(outs)
+            steps.append((n ** (right + len(dpos)), n ** i, n ** o, g))
+            width[c] += o - i
+            if width[c] > widest[c]:
+                widest[c] = width[c]
     for j, x in enumerate(boundary):
         parts[comp[x]][1].append(j)
     return [
@@ -196,10 +239,19 @@ def _contract(ring, image, cols, steps) -> dict:
     """The nonzeros of one component, keyed by the flat index of its
     codomain basis tuple times its ``cols`` domain columns plus its domain
     column: the row-major offset in its own matrix.  Each step's table is
-    built here, after every guard has passed."""
+    built here, after every guard has passed.  Where addition is idempotent
+    (BOOL), every value is one, and each run of two or more steps is one
+    frontier walk; a single step, and every step over NAT, whose values
+    count paths, is applied alone."""
     tensor = {col * cols + col: ring.one for col in range(cols)}
-    for stride, m_in, m_out, g in steps:
-        tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
+    idempotent = ring.add(ring.one, ring.one) == ring.one
+    for run in _runs(steps) if idempotent else ([step] for step in steps):
+        stride, m_in, m_out, g = run[0]
+        if len(run) == 1:
+            tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
+        else:
+            tables = [image(g) for *_, g in run]
+            tensor = _walk(ring.one, tensor, stride, m_in, run[-1][2], tables)
     return tensor
 
 

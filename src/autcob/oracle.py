@@ -294,17 +294,10 @@ def regex_language(pattern, alphabet, max_len: int) -> set:
     """All matching words of length <= max_len over the alphabet."""
     root = parse_regex(pattern) if isinstance(pattern, str) else pattern
     out = set()
-
-    def walk(word, r):
-        if nullable(r):
-            out.add(word)
-        if len(word) == max_len:
-            return
-        for a in alphabet:
-            d = deriv(r, a)
-            if d is not EMPTY:
-                walk(word + (a,), d)
-
-    if max_len >= 0:
-        walk((), root)
+    level = [((), root)]  # the words of one length whose derivative is not empty
+    for length in range(max_len + 1):
+        if length:
+            steps = ((word + (a,), deriv(r, a)) for word, r in level for a in alphabet)
+            level = [(word, d) for word, d in steps if d is not EMPTY]
+        out.update(word for word, r in level if nullable(r))
     return out

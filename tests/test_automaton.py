@@ -155,6 +155,13 @@ def test_elementary_matrices_decompose_identity(seed):
     assert total == identity(BOOL, n)
 
 
+def test_a_long_length_bound_is_enumerated_without_recursion():
+    # one word per length: 1,500 letters is past the default recursion limit
+    loop = Nfa.make(["q"], ["a"], [("q", "a", "q")], ["q"], ["q"])
+    words = {("a",) * k for k in range(1501)}
+    assert loop.interval_language(1500) == loop.trace_language(1500) == words
+
+
 # -- trim ----------------------------------------------------------------------
 
 

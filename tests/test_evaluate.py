@@ -18,6 +18,7 @@ from autcob.diagrams import (
     cup,
     death,
     dot,
+    flip,
     ident,
     identity_diagram,
     interval_diagram,
@@ -201,6 +202,104 @@ def test_bare_strands_take_the_wire_idempotent(seed):
         assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
 
 
+def run_diagram(rng, letters, labels=(), foam=False, max_width=4):
+    """A random diagram of long dot runs: runs of 2-8 dots on one wire of
+    either sign, chained through births and deaths (labelled or not), cups
+    and caps, and on spaces through split ; merge, units and counits, with
+    swaps that cross wires of different components."""
+    boundary = [rng.choice("+-") for _ in range(rng.randint(0, 2))]
+    domain, slices = tuple(boundary), []
+
+    def put(i, gens, width):
+        # one slice: gens in place of the width wires at i, identities beside
+        slices.append([ident(s) for s in boundary[:i]] + gens
+                      + [ident(s) for s in boundary[i + width:]])
+        boundary[i:i + width] = [s for g in gens for s in g.outputs()]
+
+    def dots(i):
+        for _ in range(rng.randint(2, 8)):
+            put(i, [dot(rng.choice(letters), boundary[i])], 1)
+
+    def end(sign, make):
+        label = labels and sign == "+" and rng.random() < 0.4
+        return make(sign, label=rng.choice(labels)) if label else make(sign)
+
+    for _ in range(rng.randint(1, 6)):
+        moves = ["birth"] if len(boundary) < max_width else []
+        moves += ["cup"] if len(boundary) + 2 <= max_width else []
+        moves += ["dots", "dots", "death"] if boundary else []
+        moves += ["swap", "cap"] if len(boundary) >= 2 else []
+        moves += ["split", "unit"] if foam and len(boundary) < max_width else []
+        move = rng.choice(moves)
+        i = rng.randrange(len(boundary)) if boundary else 0
+        if move == "birth":
+            i = rng.randint(0, len(boundary))
+            sign = rng.choice("+-")
+            put(i, [end(sign, birth)], 0)
+            dots(i)
+            if rng.random() < 0.5:
+                put(i, [end(sign, death)], 1)
+        elif move == "cup":
+            i = rng.randint(0, len(boundary))
+            put(i, [cup(rng.choice("+-"))], 0)
+            dots(i + rng.randint(0, 1))
+            if rng.random() < 0.5:
+                put(i, [cap(boundary[i])], 2)
+        elif move == "dots":
+            dots(i)
+        elif move == "death":
+            sign = boundary[i]
+            put(i, [end(sign, death)], 1)
+            if rng.random() < 0.5:  # a death and a birth in one run
+                put(i, [end(sign, birth)], 0)
+                dots(i)
+        elif move == "swap":
+            i = rng.randrange(len(boundary) - 1)
+            put(i, [swap(boundary[i], boundary[i + 1])], 2)
+        elif move == "cap":
+            pairs = [j for j in range(len(boundary) - 1) if boundary[j + 1] == flip(boundary[j])]
+            if pairs:
+                i = rng.choice(pairs)
+                put(i, [cap(boundary[i])], 2)
+        elif move == "split":
+            pluses = [j for j, s in enumerate(boundary) if s == "+"]
+            if pluses:
+                i = rng.choice(pluses)
+                dots(i)
+                put(i, [SPLIT], 1)
+                put(i, [MERGE], 2)
+                dots(i)
+        else:
+            put(i, [UNIT], 0)
+            dots(i)
+            if rng.random() < 0.5:
+                put(i, [COUNIT], 1)
+    return Diagram.make(slices, domain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_walked_runs_are_the_support_of_the_path_counts(seed):
+    # over BOOL each run of steps is one frontier walk; over NAT every step
+    # is applied alone, so its support is an independent reference
+    rng = random.Random(seed)
+    nfa = random_nfa(rng, max_states=4, density=rng.choice([0.2, 0.4, 0.7]))
+    for _ in range(3):
+        d = run_diagram(rng, nfa.alphabet, labels=nfa.states)
+        counts = eval_nfa(nfa, d, NAT).matrix
+        got = eval_nfa(nfa, d, BOOL).matrix
+        assert got.entries == tuple(int(v != 0) for v in counts.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_walked_runs_on_tautomata_match_dense_layers(seed):
+    rng = random.Random(seed)
+    taut = random_tautomaton(rng, max_points=3)
+    d = run_diagram(rng, taut.alphabet, labels=taut.space.points, foam=True, max_width=3)
+    assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
+
+
 def basis_tables(machine):
     """The basis interface that word queries and the evaluator read."""
     return machine._index, machine._rows, machine._up, machine._ends
@@ -208,8 +307,9 @@ def basis_tables(machine):
 
 def test_evaluation_leaves_the_rows_it_reads_unchanged():
     # '+' dots read Nfa._rows and TAutomaton._rows as their tables, bare '+'
-    # strands read _up, and a birth's table is the cached _ends list itself:
-    # no evaluation may change them
+    # strands read _up, and a birth's table is the cached _ends list itself,
+    # whether a step applies them alone or a walk runs through them: no
+    # evaluation may change them
     rng = random.Random(10)
     letters = ("a", "b")
     words = list(all_words(letters, 3))
@@ -221,6 +321,9 @@ def test_evaluation_leaves_the_rows_it_reads_unchanged():
         for _ in range(10):
             yield random_diagram(rng, letters=letters, max_width=3, foam=foam,
                                  labels=labels)
+            # runs of dots and chains through births, deaths, cups and caps
+            # are walked over BOOL, reading the same tables
+            yield run_diagram(rng, letters, labels=labels, foam=foam, max_width=3)
         if foam:
             yield next(bare_strand_diagrams("a", "b"))
             for _ in range(5):

@@ -129,6 +129,12 @@ def test_a_negative_length_bound_gives_no_words():
     assert regex_language("a*", "ab", 0) == A2.trace_language(0) == {()}
 
 
+def test_a_long_length_bound_is_enumerated_without_recursion():
+    # one word per length: 1,500 letters is past the default recursion limit
+    words = regex_language("a*", "a", 1500)
+    assert words == {("a",) * k for k in range(1501)}
+
+
 def test_two_cycle_interval_language_matches_regex():
     for w in all_words(("a",), 12):
         assert TWO_CYCLE.interval_eval(w) == regex_match("(aa)*", w)
