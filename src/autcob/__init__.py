@@ -1,8 +1,6 @@
 """Automata as evaluators for decorated one-dimensional cobordism and foam
 diagrams over the Boolean and counting semirings."""
 
-import logging
-
 from .automaton import (
     CircularWord,
     Nfa,
@@ -34,7 +32,6 @@ from .diagrams import (
 )
 from .errors import CapacityError, DiagramTypeError, ParseError, ShapeError
 from .evaluate import Evaluation, eval_circle, eval_interval, eval_nfa, eval_tautomaton
-from .oracle import chain_map_sum, circle_map_sum, regex_language, regex_match
 from .semiring import BOOL, NAT, Mat, Semiring, identity, kron, zeros
 from .topology import (
     Endo,
@@ -51,6 +48,3 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
-
-# a library leaves handling its records to the application
-logging.getLogger("autcob").addHandler(logging.NullHandler())

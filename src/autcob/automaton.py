@@ -107,6 +107,21 @@ def read_json(text: str):
         raise ValueError("JSON is nested too deeply") from None
 
 
+def json_object(data, what, required, optional=()) -> dict:
+    """``data`` when it is a JSON object holding every key of ``required``
+    and no key outside ``required`` and ``optional``; each refusal is a
+    ValueError naming ``what`` was being loaded."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    extra = data.keys() - {*required, *optional}
+    if extra:
+        raise ValueError(f"unknown keys {sorted(extra)} in {what}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValueError(f"missing keys {sorted(missing)} in {what}")
+    return data
+
+
 def json_list(data: dict, key) -> list:
     """``data[key]`` when it is a JSON list of strings; a string is never
     split into characters."""
@@ -116,7 +131,7 @@ def json_list(data: dict, key) -> list:
     return value
 
 
-_NFA_KEYS = {"states", "alphabet", "transitions", "initial", "accepting"}
+_NFA_KEYS = ("states", "alphabet", "transitions", "initial", "accepting")
 _TRANSITION_KEYS = {"from", "letter", "to"}
 
 
@@ -377,14 +392,7 @@ class Nfa:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Nfa:
-        if not isinstance(data, dict):
-            raise ValueError("automaton JSON must be an object")
-        extra = set(data) - _NFA_KEYS
-        if extra:
-            raise ValueError(f"unknown keys {sorted(extra)}")
-        missing = _NFA_KEYS - set(data)
-        if missing:
-            raise ValueError(f"missing keys {sorted(missing)}")
+        json_object(data, "automaton", _NFA_KEYS)
         if not isinstance(data["transitions"], list):
             raise ValueError("'transitions' must be a list")
         delta = set()

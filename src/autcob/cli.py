@@ -12,13 +12,12 @@ import sys
 from functools import cache
 from itertools import product
 
-from .automaton import Nfa, read_json
+from .automaton import Nfa, json_object, read_json
 from .covers import GraphMap, check_cover_size, cyclic_cover, is_covering
 from .covers import is_weak_covering, voltage_cover
 from .diagrams import Diagram, parse_diagram
 from .errors import CapacityError, DiagramTypeError, ParseError
 from .evaluate import eval_nfa, eval_tautomaton
-from .oracle import chain_map_sum, check_caps, circle_map_sum
 from .semiring import BOOL, NAT
 from .topology import TAutomaton
 
@@ -100,9 +99,8 @@ def _cmd_cover_cyclic(args) -> int:
 
 def _cmd_cover_voltage(args) -> int:
     nfa = _load_nfa(args.automaton)
-    spec = read_json(_read(args.voltages)) if args.voltages else {}
-    if not isinstance(spec, dict) or set(spec) - {"assignments"}:
-        raise ValueError("voltage file must be an object with the key 'assignments'")
+    text = _read(args.voltages) if args.voltages else "{}"
+    spec = json_object(read_json(text), "voltage file", (), ("assignments",))
     assignments = spec.get("assignments", [])
     if not isinstance(assignments, list):
         raise ValueError("'assignments' must be a list")
@@ -110,8 +108,7 @@ def _cmd_cover_voltage(args) -> int:
     # unlisted transitions get the identity permutation
     voltages = {e: tuple(range(args.n)) for e in nfa.delta}
     for item in assignments:
-        if not isinstance(item, dict) or set(item) != {"from", "letter", "to", "perm"}:
-            raise ValueError("assignment needs keys from/letter/to/perm")
+        json_object(item, "voltage assignment", ("from", "letter", "to", "perm"))
         edge = (item["from"], item["letter"], item["to"])
         if not all(isinstance(v, str) for v in edge) or edge not in nfa.delta:
             raise ValueError(f"assignment for unknown transition {edge}")
@@ -126,10 +123,7 @@ def _cmd_cover_voltage(args) -> int:
 def _cmd_cover_check(args) -> int:
     cover = _load_nfa(args.cover)
     base = _load_nfa(args.base)
-    data = read_json(_read(args.map))
-    if not isinstance(data, dict) or set(data) != {"vertices"}:
-        raise ValueError("map file must be an object with the one key 'vertices'")
-    vm = data["vertices"]
+    vm = json_object(read_json(_read(args.map)), "map file", ("vertices",))["vertices"]
     if not isinstance(vm, dict) or not all(isinstance(q, str) for q in vm.values()):
         raise ValueError("'vertices' must be an object from cover to base states")
     p = GraphMap.from_vertex_map(cover, base, vm)
@@ -172,6 +166,9 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_oracle_sweep(args) -> int:
+    # imported here: only ``oracle sweep`` reads the brute-force oracle
+    from .oracle import chain_map_sum, check_caps, circle_map_sum
+
     if args.max_len < 0:
         raise ValueError(f"--max-len must be at least 0, got {args.max_len}")
     nfa = _load_nfa(args.automaton)

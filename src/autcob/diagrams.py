@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automaton import as_word, read_json
+from .automaton import as_word, json_object, read_json
 from .errors import DiagramTypeError, ParseError
 
 SIGNS = ("+", "-")
@@ -46,6 +46,14 @@ _KINDS = {
 }
 _SIGNED = {"id", "cup", "cap", "dot", "birth", "death"}
 _FOAM = {"merge", "split", "unit", "counit"}
+# the JSON keys each kind of generator takes beside 'gen'
+_GEN_KEYS = {
+    **dict.fromkeys(_SIGNED, ("sign",)),
+    "swap": ("signs",),
+    "dot": ("sign", "letter"),
+    "birth": ("sign", "label"),
+    "death": ("sign", "label"),
+}
 
 
 @dataclass(frozen=True)
@@ -127,33 +135,19 @@ class Gen:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Gen:
-        if not isinstance(data, dict) or "gen" not in data:
-            raise ValueError("generator JSON needs a 'gen' key")
+        json_object(data, "generator", ("gen",), ("sign", "signs", "letter", "label"))
         fields = [v for k, v in data.items() if k != "signs"]
         if not all(v is None or isinstance(v, str) for v in fields):
             raise ValueError(f"generator fields must be strings, got {data!r}")
         kind = data["gen"]
-        allowed = {"gen"}
-        kw = {"kind": kind}
-        if kind == "swap":
-            allowed.add("signs")
-            signs = data.get("signs")
-            if not isinstance(signs, list) or len(signs) != 2:
-                raise ValueError("swap needs 'signs': [s1, s2]")
-            kw["sign"], kw["sign2"] = signs
-        elif kind in _SIGNED:
-            allowed.add("sign")
-            kw["sign"] = data.get("sign")
-        if kind == "dot":
-            allowed.add("letter")
-            kw["letter"] = data.get("letter")
-        if kind in ("birth", "death"):
-            allowed.add("label")
-            kw["label"] = data.get("label")
-        extra = set(data) - allowed
-        if extra:
-            raise ValueError(f"unknown generator keys {sorted(extra)}")
-        return cls(**kw)
+        json_object(data, f"generator {kind!r}", ("gen",), _GEN_KEYS.get(kind, ()))
+        if kind != "swap":
+            return cls(kind, data.get("sign"), letter=data.get("letter"),
+                       label=data.get("label"))
+        signs = data.get("signs")
+        if not isinstance(signs, list) or len(signs) != 2:
+            raise ValueError("swap needs 'signs': [s1, s2]")
+        return cls(kind, *signs)
 
 
 def ident(sign) -> Gen:
@@ -257,12 +251,7 @@ class Diagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Diagram:
-        if not isinstance(data, dict):
-            raise ValueError("diagram JSON must be an object")
-        extra = set(data) - {"slices"}
-        if extra:
-            raise ValueError(f"unknown keys {sorted(extra)}")
-        slices = data.get("slices", [])
+        slices = json_object(data, "diagram", (), ("slices",)).get("slices", [])
         if not isinstance(slices, list) or not all(isinstance(s, list) for s in slices):
             raise ValueError("'slices' must be a list of lists of generators")
         return cls.make([[Gen.from_json_dict(g) for g in slc] for slc in slices])

@@ -94,10 +94,16 @@ def _guard(n, what, wires, size_wires):
 
 def _table(size, pairs) -> list:
     """A generator image by flat input index: each entry lists the flat
-    output indices that input reaches, each with value one."""
-    out = [[] for _ in range(size)]
+    output indices that input reaches, each with value one.  The inputs
+    that reach none share one empty tuple, so a sparse table such as a
+    cap's (n^2 entries) makes no list for them; the others grow a list,
+    where a tuple would be copied once per output."""
+    out = [()] * size
     for i, o in pairs:
-        out[i].append(o)
+        if out[i]:
+            out[i].append(o)
+        else:
+            out[i] = [o]
     return out
 
 

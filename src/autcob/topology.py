@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product
 
-from .automaton import Nfa, interval_eval, json_list, read_json, trace_eval
+from .automaton import Nfa, interval_eval, json_list, json_object, read_json, trace_eval
 from .errors import CapacityError
 
 OPENS_CAP = 1 << 16
 
-_FINTOP_KEYS = {"points", "min_open"}
-_TAUT_KEYS = {"points", "min_open", "initial_open", "accepting_closed", "letters"}
+_FINTOP_KEYS = ("points", "min_open")
+_TAUT_KEYS = (*_FINTOP_KEYS, "initial_open", "accepting_closed", "letters")
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class FinTop:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> FinTop:
-        _expect_keys(data, _FINTOP_KEYS, "space")
+        json_object(data, "space", _FINTOP_KEYS)
         return cls.make(
             json_list(data, "points"), _json_sets(data["min_open"], "'min_open'")
         )
@@ -154,17 +154,6 @@ def _json_sets(value, what) -> dict:
     for k in value:
         json_list(value, k)
     return value
-
-
-def _expect_keys(data, keys, what):
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} JSON must be an object")
-    extra = set(data) - keys
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)}")
-    missing = keys - set(data)
-    if missing:
-        raise ValueError(f"missing keys {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -442,7 +431,7 @@ class TAutomaton:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> TAutomaton:
-        _expect_keys(data, _TAUT_KEYS, "T-automaton")
+        json_object(data, "T-automaton", _TAUT_KEYS)
         space = FinTop.from_json_dict({k: data[k] for k in _FINTOP_KEYS})
         letters = data["letters"]
         if not isinstance(letters, dict):

@@ -8,7 +8,9 @@ from autcob import cli
 from autcob.cli import cli_word, main
 from autcob.automaton import Nfa
 from autcob.covers import cyclic_cover, voltage_cover
+from autcob.diagrams import Diagram
 from autcob.errors import ShapeError
+from autcob.topology import FinTop, TAutomaton
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 A2_PATH = str(SAMPLES / "two_state.json")
@@ -365,7 +367,7 @@ def test_parse_error_is_input_error(tmp_path, capsys):
     assert "line 1" in err
 
 
-def _cover_file_exit_code(tmp_path, capsys, command, data):
+def _run_cover_file(tmp_path, capsys, command, data):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     if command == "voltage":
@@ -373,7 +375,11 @@ def _cover_file_exit_code(tmp_path, capsys, command, data):
                 "--voltages", str(path), "--out", str(tmp_path / "out.json")]
     else:
         argv = ["check", "--map", str(path), "--cover", A2_PATH, "--base", A2_PATH]
-    return run(capsys, "cover", *argv)[0]
+    return run(capsys, "cover", *argv)
+
+
+def _cover_file_exit_code(tmp_path, capsys, command, data):
+    return _run_cover_file(tmp_path, capsys, command, data)[0]
 
 
 def _assignment(perm):
@@ -560,3 +566,70 @@ def test_malformed_transition_is_input_error(tmp_path, capsys, transition):
     assert (code, out) == (2, "")
     assert err == ("error: transition must be an object of strings "
                    f"from/letter/to, got {transition!r}\n")
+
+
+# -- the one JSON object check ---------------------------------------------------
+
+_A2 = json.loads(Path(A2_PATH).read_text())
+_SPACE = {"points": ["x"], "min_open": {"x": ["x"]}}
+_TAUT = {**_SPACE, "initial_open": [], "accepting_closed": [], "letters": {}}
+_ASSIGNMENT = {"from": "q2", "letter": "b", "to": "q2"}
+
+
+def _library(cls):
+    def refusal(tmp_path, capsys, data):
+        with pytest.raises(ValueError) as info:
+            cls.from_json(json.dumps(data))
+        return str(info.value)
+    return refusal
+
+
+def _cover_file(command):
+    def refusal(tmp_path, capsys, data):
+        code, out, err = _run_cover_file(tmp_path, capsys, command, data)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("\n")
+        return err[len("error: "):-1]
+    return refusal
+
+
+_REFUSALS = {
+    "automaton": _library(Nfa),
+    "space": _library(FinTop),
+    "T-automaton": _library(TAutomaton),
+    "diagram": _library(Diagram),
+    "map file": _cover_file("check"),
+    "voltage file": _cover_file("voltage"),
+}
+
+
+# each loader on a non-object, an unknown key and a missing required key; a
+# diagram and a voltage file have no required key of their own, so theirs is
+# missing from a generator and from an assignment
+@pytest.mark.parametrize("loader, data, message", [
+    ("automaton", [], "automaton JSON must be an object"),
+    ("automaton", {**_A2, "junk": 1}, "unknown keys ['junk'] in automaton"),
+    ("automaton", {k: v for k, v in _A2.items() if k != "initial"},
+     "missing keys ['initial'] in automaton"),
+    ("space", [], "space JSON must be an object"),
+    ("space", {**_SPACE, "junk": 1}, "unknown keys ['junk'] in space"),
+    ("space", {"points": ["x"]}, "missing keys ['min_open'] in space"),
+    ("T-automaton", [], "T-automaton JSON must be an object"),
+    ("T-automaton", {**_TAUT, "junk": 1}, "unknown keys ['junk'] in T-automaton"),
+    ("T-automaton", _SPACE, "missing keys ['accepting_closed', 'initial_open',"
+     " 'letters'] in T-automaton"),
+    ("diagram", [], "diagram JSON must be an object"),
+    ("diagram", {"slices": [], "junk": 1}, "unknown keys ['junk'] in diagram"),
+    ("diagram", {"slices": [[{"sign": "+"}]]}, "missing keys ['gen'] in generator"),
+    ("map file", [], "map file JSON must be an object"),
+    ("map file", {"vertices": {}, "junk": 1}, "unknown keys ['junk'] in map file"),
+    ("map file", {}, "missing keys ['vertices'] in map file"),
+    ("voltage file", [], "voltage file JSON must be an object"),
+    ("voltage file", {"assignments": [], "junk": 1},
+     "unknown keys ['junk'] in voltage file"),
+    ("voltage file", {"assignments": [_ASSIGNMENT]},
+     "missing keys ['perm'] in voltage assignment"),
+])
+def test_each_json_object_is_checked_by_one_rule(tmp_path, capsys, loader, data,
+                                                 message):
+    assert _REFUSALS[loader](tmp_path, capsys, data) == message

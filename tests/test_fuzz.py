@@ -6,6 +6,7 @@ code and one ``error:`` line on stderr."""
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autcob.automaton import Nfa
-from autcob.cli import main
+from autcob.cli import build_parser, main
 from autcob.diagrams import Diagram, parse_diagram
 from autcob.errors import CapacityError, DiagramTypeError
 from autcob.evaluate import eval_nfa, eval_tautomaton
@@ -161,6 +162,37 @@ def assert_cli_reports(text, suffix, argv, call):
 def test_mutated_json_through_the_cli_exits_with_its_documented_code(data):
     valid, argv, call = data.draw(st.sampled_from(COMMANDS))
     assert_cli_reports(mutated_text(data, valid), ".json", argv, call)
+
+
+def outside_main(argv):
+    """The call ``main(argv)`` makes on a file holding the text, with what
+    it raises left unmapped: the cover commands read their map and voltage
+    files themselves, through no library loader."""
+    def call(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(text, encoding="utf-8")
+            args = build_parser().parse_args([str(path) if a is None else a for a in argv])
+            with contextlib.redirect_stdout(io.StringIO()):
+                args.func(args)
+    return call
+
+
+# (valid JSON, the command line with None for the JSON file)
+COVER_FILES = [
+    ({"vertices": {"q1": "q1", "q2": "q2"}},
+     ["cover", "check", "--map", None, "--cover", A2_PATH, "--base", A2_PATH]),
+    ({"assignments": [{"from": "q2", "letter": "b", "to": "q2", "perm": [1, 0]}]},
+     ["cover", "voltage", "--automaton", A2_PATH, "--n", "2", "--voltages", None,
+      "--out", os.devnull]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_cover_files_through_the_cli_exit_with_their_documented_code(data):
+    valid, argv = data.draw(st.sampled_from(COVER_FILES))
+    assert_cli_reports(mutated_text(data, valid), ".json", argv, outside_main(argv))
 
 
 # 33 states: an open diagram on two wires, or one four wires wide, is over

@@ -1,33 +1,26 @@
 import importlib
 import importlib.util
-import logging
-import os
 import subprocess
 import sys
 from pathlib import Path
-
-import autcob  # noqa: F401  (the import installs the handler)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def test_package_logger_has_a_null_handler():
-    logger = logging.getLogger("autcob")
-    assert any(isinstance(h, logging.NullHandler) for h in logger.handlers)
-
-
 def test_import_writes_nothing_to_stderr():
-    # without the NullHandler, the warning would reach logging's last-resort
-    # handler on stderr
-    code = "import logging, autcob; logging.getLogger('autcob.evaluate').warning('x')"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # the package loads the functor's modules only: no logging, and no
+    # oracle, which only `oracle sweep` reads; -S keeps site's imports out
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import autcob, autcob.cli;"
+        " print(sorted({'logging', 'autcob.oracle'} & sys.modules.keys()))"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         timeout=60, check=True,
     )
     assert done.stderr == ""
-    assert done.stdout == ""
+    assert done.stdout == "[]\n"
 
 
 def test_every_traced_target_resolves():
