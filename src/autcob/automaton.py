@@ -3,20 +3,24 @@
 An automaton is a labelled oriented graph on interned string ids.  A letter
 sends state x to its set of successors; ``Nfa._rows`` indexes these images
 by state index, and ``walk`` runs a word through them as a frontier of
-indices.  Interval evaluation walks from the initial states and asks to meet
-an accepting one; trace evaluation asks for a closed walk, walking from each
-state in turn, and is invariant under rotation of the word.  Both are
-written once over the basis interface that a T-automaton shares and the
-diagram evaluator reads: the cached ``_index``, ``_rows``, ``_up``, ``_ends``.
+indices.  ``walk_lanes`` runs every start at once instead: each index holds
+one int with a lane per start, and a step adds lane by lane; the word
+matrix is one such walk, over BOOL or NAT.  Interval evaluation walks from
+the initial states and asks to meet an accepting one; trace evaluation
+asks for a closed walk, walking from each state in turn, and is invariant
+under rotation of the word.  Both are written once over the basis
+interface that a T-automaton shares and the diagram evaluator reads: the
+cached ``_index``, ``_rows``, ``_up``, ``_ends``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
+from .errors import Record
 from .semiring import BOOL, Mat, Semiring
 
 Word = tuple  # tuple of letter strings
@@ -54,6 +58,55 @@ def walk(rows, seeds, word) -> set:
     return frontier
 
 
+def walk_lanes(add, tables, sizes, columns) -> list:
+    """Run packed columns through ``tables`` in one pass.  ``columns[x]``
+    is one int holding, one lane per start, the value each start has at
+    index x; step k sends the column at x to every output index of
+    ``tables[k][x]`` (``sizes[k]`` of them), adding where paths meet.
+    ``add`` works lane by lane: OR over BOOL, and + over NAT as long as
+    the lanes are ``lane_bytes`` wide, so no lane carries into the next."""
+    for table, size in zip(tables, sizes):
+        new = [0] * size
+        for column, outs in zip(columns, table):
+            if column:
+                for y in outs:
+                    new[y] = add(new[y], column)
+        columns = new
+    return columns
+
+
+def lane_bytes(ring, total, tables) -> int:
+    """The bytes of one lane of ``walk_lanes`` through ``tables`` when each
+    lane's values sum to at most ``total``.  Over an idempotent ring
+    (BOOL) a value is 0 or 1 and OR never carries.  Otherwise no index can
+    hold more than the total times each table's largest out-degree (at
+    least 1), since a lane's sum grows by at most that much per step.  A
+    lane is 1, 2, 4 or a multiple of 8 bytes, so that ``lane_values``
+    reads a column with one conversion."""
+    if ring.add(ring.one, ring.one) == ring.one:
+        return 1
+    for table in tables:
+        total *= max([1, *map(len, table)])
+    size = (total.bit_length() + 7) // 8
+    for fit in (1, 2, 4):
+        if size <= fit:
+            return fit
+    return (size + 7) // 8 * 8
+
+
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def lane_values(column, size, count):
+    """The values of the ``count`` lanes of a packed column, ``size``
+    bytes each, lowest lane first."""
+    data = column.to_bytes(size * count, sys.byteorder)
+    if size in _LANE_CODES:
+        return memoryview(data).cast(_LANE_CODES[size])
+    return [int.from_bytes(data[i:i + size], sys.byteorder)
+            for i in range(0, len(data), size)]
+
+
 def interval_eval(self, w) -> bool:
     """True iff w carries the initial set into one meeting the accepting set."""
     rows = self._rows
@@ -79,14 +132,13 @@ def canonical_rotation(w) -> Word:
     return min(rotations(w))
 
 
-@dataclass(frozen=True)
-class CircularWord:
+class CircularWord(Record):
     """A word up to rotation, stored as its lexicographically least rotation."""
 
-    letters: Word
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", canonical_rotation(as_word(self.letters)))
+    def __init__(self, letters):
+        self.__dict__["letters"] = canonical_rotation(as_word(letters))
 
     def rotations(self) -> list:
         return rotations(self.letters)
@@ -135,36 +187,34 @@ _NFA_KEYS = ("states", "alphabet", "transitions", "initial", "accepting")
 _TRANSITION_KEYS = {"from", "letter", "to"}
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record):
     """(states, alphabet, transitions, initial set, accepting set).
 
     The empty automaton (no states) is legal; both of its languages are
     empty, including on the empty word.
     """
 
-    states: tuple
-    alphabet: tuple
-    delta: frozenset
-    initial: frozenset
-    accepting: frozenset
+    _fields = ("states", "alphabet", "delta", "initial", "accepting")
 
-    def __post_init__(self):
-        if len(set(self.states)) != len(self.states):
+    def __init__(self, states: tuple, alphabet: tuple, delta: frozenset,
+                 initial: frozenset, accepting: frozenset):
+        known = set(states)
+        if len(known) != len(states):
             raise ValueError("duplicate state ids")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        letters = set(alphabet)
+        if len(letters) != len(alphabet):
             raise ValueError("duplicate letters")
-        states = set(self.states)
-        letters = set(self.alphabet)
-        for q, a, r in self.delta:
-            if q not in states or r not in states:
+        for q, a, r in delta:
+            if q not in known or r not in known:
                 raise ValueError(f"transition ({q}, {a}, {r}) uses unknown state")
             if a not in letters:
                 raise ValueError(f"transition ({q}, {a}, {r}) uses unknown letter")
-        for name, group in (("initial", self.initial), ("accepting", self.accepting)):
-            unknown = group - states
+        for name, group in (("initial", initial), ("accepting", accepting)):
+            unknown = group - known
             if unknown:
                 raise ValueError(f"{name} set contains unknown states {sorted(unknown)}")
+        self.__dict__.update(states=states, alphabet=alphabet, delta=delta,
+                             initial=initial, accepting=accepting)
 
     @classmethod
     def make(cls, states, alphabet, delta, initial=(), accepting=()) -> Nfa:
@@ -228,25 +278,16 @@ class Nfa:
 
     def word_matrix(self, w, ring: Semiring = BOOL) -> Mat:
         """M[q][r] sums the paths from q to r spelling w: over NAT it counts
-        them.  Rows are composed as sparse vectors, the matrix built last."""
+        them.  One packed walk runs every start state at once: lane q of
+        column r holds M[q][r], so the rows are the columns' lanes zipped."""
         rows = self._rows
-        word = checked_word(rows, w)
+        tables = [rows[a] for a in checked_word(rows, w)]
         n = len(self.states)
-        add = ring.add
-        vectors = [{i: ring.one} for i in range(n)]
-        for a in word:
-            row = rows[a]
-            for i, vec in enumerate(vectors):
-                out = {}
-                for x, v in vec.items():
-                    for y in row[x]:
-                        out[y] = add(out[y], v) if y in out else v
-                vectors[i] = out
-        ent = [ring.zero] * (n * n)
-        for i, vec in enumerate(vectors):
-            for j, v in vec.items():
-                ent[i * n + j] = v
-        return Mat(ring, n, n, tuple(ent))
+        size = lane_bytes(ring, 1, tables)
+        starts = [1 << (8 * size * q) for q in range(n)]
+        columns = walk_lanes(ring.add, tables, [n] * len(tables), starts)
+        columns = [lane_values(column, size, n) for column in columns]
+        return Mat(ring, n, n, tuple(v for row in zip(*columns) for v in row))
 
     # -- evaluations -------------------------------------------------------
 

@@ -10,22 +10,21 @@ trace language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automaton import Nfa
-from .errors import CapacityError
+from .errors import CapacityError, Record
 
 #: The most states plus transitions a cover may have.
 MAX_COVER_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class GraphMap:
+class GraphMap(Record):
     """A map of automaton graphs: states to states, transitions to
     transitions."""
 
-    vertex_map: dict
-    edge_map: dict
+    _fields = ("vertex_map", "edge_map")
+
+    def __init__(self, vertex_map: dict, edge_map: dict):
+        self.__dict__.update(vertex_map=vertex_map, edge_map=edge_map)
 
     @classmethod
     def from_vertex_map(cls, cover: Nfa, base: Nfa, vertex_map: dict) -> GraphMap:

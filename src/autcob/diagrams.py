@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .automaton import as_word, json_object, read_json
-from .errors import DiagramTypeError, ParseError
+from .errors import DiagramTypeError, ParseError, Record
 
 SIGNS = ("+", "-")
 
@@ -56,29 +55,35 @@ _GEN_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(Record):
     """One generator occurrence inside a slice."""
 
-    kind: str
-    sign: str = None
-    sign2: str = None
-    letter: str = None
-    label: str = None
+    _fields = ("kind", "sign", "sign2", "letter", "label")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in _SIGNED and self.sign not in SIGNS:
-            raise ValueError(f"{self.kind} needs a sign")
-        if self.kind == "swap" and (self.sign not in SIGNS or self.sign2 not in SIGNS):
+    def __init__(self, kind: str, sign: str = None, sign2: str = None,
+                 letter: str = None, label: str = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind in _SIGNED and sign not in SIGNS:
+            raise ValueError(f"{kind} needs a sign")
+        if kind == "swap" and (sign not in SIGNS or sign2 not in SIGNS):
             raise ValueError("swap needs two signs")
-        if self.kind == "dot" and not self.letter:
+        if kind == "dot" and not letter:
             raise ValueError("dot needs a letter")
-        if self.label is not None and not (
-            self.kind in ("birth", "death") and self.sign == "+"
-        ):
+        if label is not None and not (kind in ("birth", "death") and sign == "+"):
             raise ValueError("labels are only supported on birth+/death+")
+        self.__dict__.update(kind=kind, sign=sign, sign2=sign2, letter=letter, label=label)
+
+    # the evaluator caches generator images by Gen: compare and hash the
+    # fields directly, without the base class's getter
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.sign, self.sign2, self.letter, self.label)
+                    == (other.kind, other.sign, other.sign2, other.letter, other.label))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.sign, self.sign2, self.letter, self.label))
 
     def inputs(self) -> tuple:
         k = self.kind
@@ -184,12 +189,13 @@ UNIT = Gen("unit")
 COUNIT = Gen("counit")
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """Slices bottom to top; closed iff domain and codomain are empty."""
 
-    slices: tuple
-    domain: tuple
+    _fields = ("slices", "domain")
+
+    def __init__(self, slices: tuple, domain: tuple):
+        self.__dict__.update(slices=slices, domain=domain)
 
     @classmethod
     def make(cls, slices, domain=None) -> Diagram:

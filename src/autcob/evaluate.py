@@ -26,7 +26,9 @@ swap is a table like any other.  Over an idempotent semiring (BOOL) every
 value is one, and the sum over paths is the subset walk: each run of two
 or more steps on one block of digits (``birth+ ; dot... ; death+``, the
 dots of a circle) is one frontier walk with ``automaton.walk`` per group
-of keys that agree off the block.  Over NAT every step is applied alone.
+of keys that agree off the block.  Over NAT each such run is one
+``automaton.walk_lanes`` pass, with one lane per group of keys wide enough
+for the group's path counts.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
 that share no wire are never contracted together.  ``_plan`` threads the
@@ -57,24 +59,26 @@ BOOL; on a discrete space both hold the same tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 
-from .automaton import Nfa, as_word, walk
+from .automaton import Nfa, as_word, lane_bytes, lane_values, walk, walk_lanes
 from .diagrams import _FOAM, Diagram, Gen, circle_diagram, ident, interval_diagram
-from .errors import CapacityError
+from .errors import CapacityError, Record
 from .semiring import BOOL, Mat, Semiring
 from .topology import TAutomaton
 
 MAX_DIM_PRODUCT = 1 << 20
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """A matrix indexed by basis tuples of the ambient modules of the
     domain (columns) and codomain (rows)."""
 
-    matrix: Mat
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: Mat):
+        self.__dict__["matrix"] = matrix
 
     def scalar(self):
         if self.matrix.rows != 1 or self.matrix.cols != 1:
@@ -156,6 +160,33 @@ def _walk(one, tensor, stride, m_in, m_out, tables) -> dict:
         hi *= m_out
         for o in walk(tables, digits, word):
             out[(hi + o) * stride + lo] = one
+    return out
+
+
+def _count(ring, tensor, stride, m_in, sizes, tables) -> dict:
+    """A run of steps over a ring that counts (NAT), grouped as ``_walk``
+    groups them: each group of keys is one lane of a packed walk
+    (``walk_lanes``) through the run's ``tables``, ``sizes`` giving each
+    step's n^out, and each nonzero lane of the column at digit o puts its
+    value at its group's key with o in the block's place."""
+    groups = {}
+    for key, v in tensor.items():
+        q = key // stride
+        groups.setdefault((q // m_in, key % stride), []).append((q % m_in, v))
+    total = max([sum(v for _, v in entries) for entries in groups.values()], default=0)
+    size = lane_bytes(ring, total, tables)
+    columns = [0] * m_in
+    for lane, entries in enumerate(groups.values()):
+        for x, v in entries:
+            columns[x] |= v << (8 * size * lane)
+    m_out = sizes[-1]
+    places = [(hi * m_out, lo) for hi, lo in groups]
+    out = {}
+    for o, column in enumerate(walk_lanes(ring.add, tables, sizes, columns)):
+        if column:
+            values = lane_values(column, size, len(places))
+            for (hi, lo), v in compress(zip(places, values), values):
+                out[(hi + o) * stride + lo] = v
     return out
 
 
@@ -245,19 +276,23 @@ def _contract(ring, image, cols, steps) -> dict:
     """The nonzeros of one component, keyed by the flat index of its
     codomain basis tuple times its ``cols`` domain columns plus its domain
     column: the row-major offset in its own matrix.  Each step's table is
-    built here, after every guard has passed.  Where addition is idempotent
-    (BOOL), every value is one, and each run of two or more steps is one
-    frontier walk; a single step, and every step over NAT, whose values
-    count paths, is applied alone."""
+    built here, after every guard has passed.  A single step is applied
+    alone.  Each run of two or more steps is one pass: where addition is
+    idempotent (BOOL), every value is one, and the run is a frontier walk
+    per group of keys; over NAT, whose values count paths, it is one
+    packed walk with a lane per group."""
     tensor = {col * cols + col: ring.one for col in range(cols)}
     idempotent = ring.add(ring.one, ring.one) == ring.one
-    for run in _runs(steps) if idempotent else ([step] for step in steps):
+    for run in _runs(steps):
         stride, m_in, m_out, g = run[0]
         if len(run) == 1:
             tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
-        else:
-            tables = [image(g) for *_, g in run]
+            continue
+        tables = [image(g) for *_, g in run]
+        if idempotent:
             tensor = _walk(ring.one, tensor, stride, m_in, run[-1][2], tables)
+        else:
+            tensor = _count(ring, tensor, stride, m_in, [s[2] for s in run], tables)
     return tensor
 
 

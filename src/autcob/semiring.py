@@ -10,21 +10,17 @@ semiring.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable
 
-from .errors import ShapeError
+from .errors import Record, ShapeError
 
 
-@dataclass(frozen=True)
-class Semiring:
+class Semiring(Record):
     """A commutative semiring (add, mul, 0, 1) on plain Python ints."""
 
-    name: str
-    zero: int
-    one: int
-    add: Callable[[int, int], int]
-    mul: Callable[[int, int], int]
+    _fields = ("name", "zero", "one", "add", "mul")
+
+    def __init__(self, name, zero, one, add, mul):
+        self.__dict__.update(name=name, zero=zero, one=one, add=add, mul=mul)
 
     def __repr__(self):
         return f"Semiring({self.name})"
@@ -37,27 +33,23 @@ BOOL = Semiring("bool", 0, 1, operator.or_, operator.and_)
 NAT = Semiring("nat", 0, 1, operator.add, operator.mul)
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Record):
     """Dense matrix over a semiring, entries stored row-major.
 
     Values are immutable after construction and safe to share across
     threads.
     """
 
-    ring: Semiring
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("ring", "rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError(f"negative dimensions {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, ring: Semiring, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative dimensions {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
-                f" entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        self.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, ring, rows_data) -> Mat:

@@ -14,12 +14,11 @@ basis interface over its points, where a letter sends U_x to T(U_x).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product
 
 from .automaton import Nfa, interval_eval, json_list, json_object, read_json, trace_eval
-from .errors import CapacityError
+from .errors import CapacityError, Record
 
 OPENS_CAP = 1 << 16
 
@@ -27,41 +26,38 @@ _FINTOP_KEYS = ("points", "min_open")
 _TAUT_KEYS = (*_FINTOP_KEYS, "initial_open", "accepting_closed", "letters")
 
 
-@dataclass(frozen=True)
-class FinTop:
+class FinTop(Record):
     """Finite minimal topological space given by its minimal-open basis."""
 
-    points: tuple
-    min_open: dict
+    _fields = ("points", "min_open")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "min_open", {x: frozenset(u) for x, u in self.min_open.items()}
-        )
-        pts = set(self.points)
-        if len(pts) != len(self.points):
+    def __init__(self, points: tuple, min_open: dict):
+        min_open = {x: frozenset(u) for x, u in min_open.items()}
+        pts = set(points)
+        if len(pts) != len(points):
             raise ValueError("duplicate point ids")
-        if set(self.min_open) != pts:
+        if set(min_open) != pts:
             raise ValueError("min_open must be defined exactly on the points")
-        for x, u in self.min_open.items():
+        for x, u in min_open.items():
             if x not in u:
                 raise ValueError(f"{x} is missing from its own minimal open")
             if not u <= pts:
                 raise ValueError(f"minimal open of {x} leaves the space")
-        for x in self.points:
-            for y in self.min_open[x]:
-                if not self.min_open[y] <= self.min_open[x]:
+        for x in points:
+            for y in min_open[x]:
+                if not min_open[y] <= min_open[x]:
                     raise ValueError(
                         f"basis is inconsistent: {y} in U_{x} but U_{y} not inside U_{x}"
                     )
         seen = {}
-        for x in self.points:
-            u = self.min_open[x]
+        for x in points:
+            u = min_open[x]
             if u in seen:
                 raise ValueError(
                     f"space is not minimal: {seen[u]} and {x} share a minimal open"
                 )
             seen[u] = x
+        self.__dict__.update(points=points, min_open=min_open)
 
     @classmethod
     def make(cls, points, min_open) -> FinTop:
@@ -93,6 +89,11 @@ class FinTop:
     @cached_property
     def _point_set(self) -> frozenset:
         return frozenset(self.points)
+
+    @cached_property
+    def _discrete(self) -> bool:
+        """Every minimal open is a singleton, so every set is open."""
+        return all(len(u) == 1 for u in self.min_open.values())
 
     def _known(self, members) -> frozenset:
         s = frozenset(members)
@@ -156,17 +157,16 @@ def _json_sets(value, what) -> dict:
     return value
 
 
-@dataclass(frozen=True)
-class OpenSet:
+class OpenSet(Record):
     """An open subset of a fixed space; meet is intersection, join is union."""
 
-    space: FinTop
-    members: frozenset
+    _fields = ("space", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.space.is_open(self.members):
-            raise ValueError(f"{sorted(self.members)} is not open")
+    def __init__(self, space: FinTop, members: frozenset):
+        members = frozenset(members)
+        if not space.is_open(members):
+            raise ValueError(f"{sorted(members)} is not open")
+        self.__dict__.update(space=space, members=members)
 
     def _same_space(self, other: OpenSet):
         if self.space != other.space:
@@ -276,11 +276,17 @@ def _least_relabelling(rel, n) -> tuple:
 
 def endo_violations(space: FinTop, image: dict) -> list:
     """Why ``image`` fails to define a union-respecting endomorphism;
-    empty when valid."""
+    empty when valid.  On a discrete space every set is open and every map
+    is monotone, so only a missing image or an unknown point can fail."""
     bad = []
     for x in space.points:
         if x not in image:
             bad.append(f"no image for {x}")
+    if space._discrete:
+        for x in space.points:
+            if x in image:
+                space._known(image[x])
+        return bad
     for x in space.points:
         u = image.get(x)
         if u is None:
@@ -300,23 +306,20 @@ def endo_validate(space: FinTop, image: dict) -> bool:
     return not endo_violations(space, image)
 
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(Record):
     """Union-respecting endomorphism of the open-set lattice, stored by its
     values on the minimal opens: image[x] = T(U_x)."""
 
-    space: FinTop
-    image: dict
+    _fields = ("space", "image")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "image", {x: frozenset(u) for x, u in self.image.items()}
-        )
-        if set(self.image) - set(self.space.points):
+    def __init__(self, space: FinTop, image: dict):
+        image = {x: frozenset(u) for x, u in image.items()}
+        if set(image) - set(space.points):
             raise ValueError("image defined on unknown points")
-        bad = endo_violations(self.space, self.image)
+        bad = endo_violations(space, image)
         if bad:
             raise ValueError("; ".join(bad))
+        self.__dict__.update(space=space, image=image)
 
     @classmethod
     def identity(cls, space: FinTop) -> Endo:
@@ -349,30 +352,28 @@ class Endo:
         return any(x in self.image[x] for x in self.space.points)
 
 
-@dataclass(frozen=True)
-class TAutomaton:
+class TAutomaton(Record):
     """(space, initial open set, accepting closed set, letter endomorphisms)."""
 
-    space: FinTop
-    alphabet: tuple
-    initial_open: frozenset
-    accepting_closed: frozenset
-    letters: dict
+    _fields = ("space", "alphabet", "initial_open", "accepting_closed", "letters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial_open", frozenset(self.initial_open))
-        object.__setattr__(self, "accepting_closed", frozenset(self.accepting_closed))
-        if len(set(self.alphabet)) != len(self.alphabet):
+    def __init__(self, space: FinTop, alphabet: tuple, initial_open: frozenset,
+                 accepting_closed: frozenset, letters: dict):
+        initial_open = frozenset(initial_open)
+        accepting_closed = frozenset(accepting_closed)
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("duplicate letters")
-        if not self.space.is_open(self.initial_open):
+        if not space.is_open(initial_open):
             raise ValueError("initial set is not open")
-        if not self.space.is_closed(self.accepting_closed):
+        if not space.is_closed(accepting_closed):
             raise ValueError("accepting set is not closed")
-        if set(self.letters) != set(self.alphabet):
+        if set(letters) != set(alphabet):
             raise ValueError("letters must cover the alphabet exactly")
-        for a, t in self.letters.items():
-            if t.space != self.space:
+        for a, t in letters.items():
+            if t.space != space:
                 raise ValueError(f"endomorphism for {a!r} lives on a different space")
+        self.__dict__.update(space=space, alphabet=alphabet, initial_open=initial_open,
+                             accepting_closed=accepting_closed, letters=letters)
 
     @classmethod
     def make(cls, space, alphabet, initial_open, accepting_closed, letters) -> TAutomaton:
@@ -451,11 +452,14 @@ class TAutomaton:
 
 def discrete(nfa: Nfa) -> TAutomaton:
     """The automaton seen as a T-automaton on the discrete space of its
-    states; evaluations agree with the Boolean matrix ones."""
+    states; evaluations agree with the Boolean matrix ones.  On a discrete
+    space the basis tables equal the automaton's, so it takes those."""
     space = FinTop.discrete(nfa.states)
     states = nfa.states
     letters = {
         a: Endo(space, {q: {states[j] for j in row[i]} for i, q in enumerate(states)})
         for a, row in nfa._rows.items()
     }
-    return TAutomaton.make(space, nfa.alphabet, nfa.initial, nfa.accepting, letters)
+    taut = TAutomaton.make(space, nfa.alphabet, nfa.initial, nfa.accepting, letters)
+    vars(taut).update(_index=nfa._index, _rows=nfa._rows, _up=nfa._up, _ends=nfa._ends)
+    return taut

@@ -280,8 +280,9 @@ def run_diagram(rng, letters, labels=(), foam=False, max_width=4):
 @settings(max_examples=80, deadline=None)
 @given(seeds)
 def test_walked_runs_are_the_support_of_the_path_counts(seed):
-    # over BOOL each run of steps is one frontier walk; over NAT every step
-    # is applied alone, so its support is an independent reference
+    # over BOOL each run of steps is one frontier walk of sets per group of
+    # keys; over NAT it is one packed walk of counts with a lane per group,
+    # which the next test checks against dense layers
     rng = random.Random(seed)
     nfa = random_nfa(rng, max_states=4, density=rng.choice([0.2, 0.4, 0.7]))
     for _ in range(3):
@@ -289,6 +290,31 @@ def test_walked_runs_are_the_support_of_the_path_counts(seed):
         counts = eval_nfa(nfa, d, NAT).matrix
         got = eval_nfa(nfa, d, BOOL).matrix
         assert got.entries == tuple(int(v != 0) for v in counts.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_counted_runs_match_dense_layers(seed):
+    rng = random.Random(seed)
+    nfa = random_nfa(rng, max_states=3, density=rng.choice([0.2, 0.4, 0.7, 1.0]))
+    for _ in range(2):
+        d = run_diagram(rng, nfa.alphabet, labels=nfa.states, max_width=3)
+        assert eval_nfa(nfa, d, NAT).matrix == dense_eval_nfa(nfa, d, NAT)
+
+
+@pytest.mark.parametrize("length", [1, 8, 40, 60])
+def test_counted_runs_are_exact_past_every_fixed_lane_width(length):
+    # on the complete automaton on k states a^m has k^m closed paths, and
+    # k^(m-1) paths between any two states
+    k = 3
+    states = [f"s{i}" for i in range(k)]
+    nfa = Nfa.make(states, ["a"], [(x, "a", y) for x in states for y in states],
+                   states[:1], states[-1:])
+    w = "a" * length
+    assert eval_nfa(nfa, circle_diagram(w), NAT).scalar() == k ** length
+    assert eval_nfa(nfa, interval_diagram(w), NAT).scalar() == k ** (length - 1)
+    strand = Diagram.make([[dot("a")] for _ in w], domain=("+",))
+    assert eval_nfa(nfa, strand, NAT).matrix == nfa.word_matrix(w, NAT).transpose()
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,8 +577,13 @@ def test_unknown_letter_is_refused_before_a_foam_vertex():
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_an_automaton_and_its_discrete_space_hold_the_same_tables(seed):
+    # discrete() hands the automaton's tables on; a T-automaton built from
+    # the same space and letters derives its own, and they must be equal
     nfa = random_nfa(random.Random(seed), max_states=5)
-    assert basis_tables(nfa) == basis_tables(discrete(nfa))
+    taut = discrete(nfa)
+    rebuilt = TAutomaton.make(taut.space, taut.alphabet, taut.initial_open,
+                              taut.accepting_closed, taut.letters)
+    assert basis_tables(nfa) == basis_tables(taut) == basis_tables(rebuilt)
 
 
 def test_an_ill_typed_diagram_fails_on_every_evaluation():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from autcob.topology import (
     counit,
     discrete,
     endo_validate,
+    endo_violations,
     minimal_spaces,
     reduce_space,
     space_from_preorder,
@@ -253,6 +254,18 @@ def test_endo_validation_reports_offending_pair():
         Endo(S2, {"x": {"y"}, "y": {"x", "y"}})
     with pytest.raises(ValueError, match="no image"):
         Endo(S2, {"x": {"x"}})
+
+
+def test_on_a_discrete_space_only_missing_images_and_unknown_points_fail():
+    # every set is open and every map monotone there, so each total image
+    # is an endomorphism
+    space = FinTop.discrete(["x", "y", "z"])
+    subsets = [set(s) for k in range(4) for s in combinations("xyz", k)]
+    for image in map(dict, product(*[[(p, s) for s in subsets] for p in "xyz"])):
+        assert endo_violations(space, image) == []
+    assert endo_violations(space, {"x": {"y"}}) == ["no image for y", "no image for z"]
+    with pytest.raises(ValueError, match=r"unknown points \['w'\]"):
+        endo_violations(space, {"x": {"y"}, "y": {"w"}, "z": set()})
 
 
 def test_endo_apply_respects_union():

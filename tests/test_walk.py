@@ -122,3 +122,47 @@ def test_unknown_letter_after_an_empty_frontier_is_a_key_error(machine):
     for call in calls:
         with pytest.raises(KeyError, match="unknown letter 'z'"):
             call(("a", "z"))
+
+
+# -- lane widths of the packed walk ------------------------------------------------
+
+# every state reaches every state on 'a', so a word a^k has 3^(k-1) paths
+# between each pair of states; 'z' has no transitions at all
+COMPLETE3 = Nfa.make(
+    ["p", "q", "r"], ["a", "z"], [(x, "a", y) for x in "pqr" for y in "pqr"], ["p"], ["r"]
+)
+
+
+@pytest.mark.parametrize("length", [1, 5, 8, 16, 40, 60])
+def test_word_matrix_counts_past_every_fixed_lane_width(length):
+    # the packed walk gives these lanes 1, 1, 2, 4, 8 and 16 bytes: every
+    # size it uses, the last one wider than any machine integer
+    w = "a" * length
+    counts = COMPLETE3.word_matrix(w, NAT)
+    assert counts == dense_word_matrix(COMPLETE3, w, NAT)
+    assert set(counts.entries) == {3 ** (length - 1)}
+    assert COMPLETE3.word_matrix(w, BOOL) == dense_word_matrix(COMPLETE3, w, BOOL)
+
+
+@pytest.mark.parametrize("w", ["z", "az", "za", "a" * 40 + "z", "a" * 40 + "za"])
+def test_a_letter_with_no_transitions_gives_the_zero_matrix(w):
+    for ring in (BOOL, NAT):
+        m = COMPLETE3.word_matrix(w, ring)
+        assert m == dense_word_matrix(COMPLETE3, w, ring)
+        assert set(m.entries) == {0}
+
+
+ONE_STATE = Nfa.make(["s"], ["a", "b"], [("s", "a", "s")], ["s"], ["s"])
+
+
+@pytest.mark.parametrize("machine", [NO_STATES, ONE_STATE, DEAD_END, COMPLETE3])
+@pytest.mark.parametrize("w", ["", "a", "ab", "a" * 40])
+def test_word_matrix_on_the_smallest_machines(machine, w):
+    w = w.replace("b", machine.alphabet[-1])
+    n = len(machine.states)
+    for ring in (BOOL, NAT):
+        m = machine.word_matrix(w, ring)
+        assert (m.rows, m.cols) == (n, n)
+        assert m == dense_word_matrix(machine, w, ring)
+        if not w:
+            assert m.entries == tuple(int(i == j) for i in range(n) for j in range(n))
