@@ -64,7 +64,7 @@ def walk_lanes(add, tables, sizes, columns) -> list:
     index x; step k sends the column at x to every output index of
     ``tables[k][x]`` (``sizes[k]`` of them), adding where paths meet.
     ``add`` works lane by lane: OR over BOOL, and + over NAT as long as
-    the lanes are ``lane_bytes`` wide, so no lane carries into the next."""
+    no lane carries into the next (``walk_packed`` sees to that)."""
     for table, size in zip(tables, sizes):
         new = [0] * size
         for column, outs in zip(columns, table):
@@ -75,36 +75,80 @@ def walk_lanes(add, tables, sizes, columns) -> list:
     return columns
 
 
-def lane_bytes(ring, total, tables) -> int:
-    """The bytes of one lane of ``walk_lanes`` through ``tables`` when each
-    lane's values sum to at most ``total``.  Over an idempotent ring
-    (BOOL) a value is 0 or 1 and OR never carries.  Otherwise no index can
-    hold more than the total times each table's largest out-degree (at
-    least 1), since a lane's sum grows by at most that much per step.  A
-    lane is 1, 2, 4 or a multiple of 8 bytes, so that ``lane_values``
-    reads a column with one conversion."""
+def walk_packed(ring, tables, sizes, pack, count, total=1) -> tuple:
+    """``walk_lanes`` for ``count`` lanes whose values each sum to at most
+    ``total``, started from ``pack(size)``, the columns with ``size``-byte
+    lanes; gives the last step's columns and their lane size.
+
+    Over an idempotent ring (BOOL) a value is 0 or 1 and OR never carries,
+    so a lane is a byte.  Otherwise a step multiplies a lane's sum by at
+    most the table's largest out-degree, and no value exceeds its lane's
+    sum.  When that bound over the whole run needs more than 8 bytes it
+    can overshoot the counts by far (one branching state anywhere is
+    enough), so lanes start at 8 bytes, or twice the bytes of ``total``,
+    and the walk goes in chunks that the bound keeps within them.  After
+    each chunk the lanes' sums are read back, from all columns added
+    (which no lane carries out of), and the lanes double when a sum fills
+    more than half of one."""
     if ring.add(ring.one, ring.one) == ring.one:
-        return 1
-    for table in tables:
-        total *= max([1, *map(len, table)])
-    size = (total.bit_length() + 7) // 8
-    for fit in (1, 2, 4):
-        if size <= fit:
-            return fit
-    return (size + 7) // 8 * 8
+        return walk_lanes(ring.add, tables, sizes, pack(1)), 1
+    degrees = [max([1, *map(len, table)]) for table in tables]
+    bound = total
+    for d in degrees:
+        bound *= d
+    size = lane_bytes(min(bound, max(total * total, 1 << 63)))
+    columns = pack(size)
+    done = 0
+    while True:
+        limit = 1 << (8 * size)
+        end, bound = done, total
+        while end < len(tables) and bound * degrees[end] < limit:
+            bound *= degrees[end]
+            end += 1
+        columns = walk_lanes(ring.add, tables[done:end], sizes[done:end], columns)
+        if end == len(tables):
+            return columns, size
+        done = end
+        total = max(lane_values(sum(columns), size, count))
+        if total * max(total, degrees[done]) >= limit:  # total < limit: once is enough
+            columns = [widen(column, size, count) for column in columns]
+            size *= 2
 
 
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+def lane_bytes(bound) -> int:
+    """The bytes of a lane that holds every value up to ``bound``: a power
+    of two, so that ``lane_values`` reads a column of lanes up to 8 bytes
+    with one conversion and ``widen`` moves whole machine words."""
+    size = 1
+    while bound >> (8 * size):
+        size *= 2
+    return size
+
+
+_UNITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def lane_values(column, size, count):
     """The values of the ``count`` lanes of a packed column, ``size``
     bytes each, lowest lane first."""
-    data = column.to_bytes(size * count, sys.byteorder)
-    if size in _LANE_CODES:
-        return memoryview(data).cast(_LANE_CODES[size])
-    return [int.from_bytes(data[i:i + size], sys.byteorder)
+    data = column.to_bytes(size * count, "little")
+    if size in _UNITS and sys.byteorder == "little":
+        return memoryview(data).cast(_UNITS[size])
+    return [int.from_bytes(data[i:i + size], "little")
             for i in range(0, len(data), size)]
+
+
+def widen(column, size, count) -> int:
+    """A packed column of ``count`` lanes of ``size`` bytes, each lane
+    moved to twice that size."""
+    unit = min(size, 8)
+    k = size // unit
+    old = memoryview(column.to_bytes(size * count, "little")).cast(_UNITS[unit])
+    data = bytearray(2 * size * count)
+    new = memoryview(data).cast(_UNITS[unit])
+    for j in range(k):
+        new[j::2 * k] = old[j::k]
+    return int.from_bytes(data, "little")
 
 
 def interval_eval(self, w) -> bool:
@@ -283,9 +327,9 @@ class Nfa(Record):
         rows = self._rows
         tables = [rows[a] for a in checked_word(rows, w)]
         n = len(self.states)
-        size = lane_bytes(ring, 1, tables)
-        starts = [1 << (8 * size * q) for q in range(n)]
-        columns = walk_lanes(ring.add, tables, [n] * len(tables), starts)
+        columns, size = walk_packed(
+            ring, tables, [n] * len(tables),
+            lambda size: [1 << (8 * size * q) for q in range(n)], n)
         columns = [lane_values(column, size, n) for column in columns]
         return Mat(ring, n, n, tuple(v for row in zip(*columns) for v in row))
 

@@ -27,7 +27,7 @@ value is one, and the sum over paths is the subset walk: each run of two
 or more steps on one block of digits (``birth+ ; dot... ; death+``, the
 dots of a circle) is one frontier walk with ``automaton.walk`` per group
 of keys that agree off the block.  Over NAT each such run is one
-``automaton.walk_lanes`` pass, with one lane per group of keys wide enough
+``automaton.walk_packed`` pass, with one lane per group of keys wide enough
 for the group's path counts.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
@@ -62,7 +62,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress
 
-from .automaton import Nfa, as_word, lane_bytes, lane_values, walk, walk_lanes
+from .automaton import Nfa, as_word, lane_values, walk, walk_packed
 from .diagrams import _FOAM, Diagram, Gen, circle_diagram, ident, interval_diagram
 from .errors import CapacityError, Record
 from .semiring import BOOL, Mat, Semiring
@@ -166,23 +166,27 @@ def _walk(one, tensor, stride, m_in, m_out, tables) -> dict:
 def _count(ring, tensor, stride, m_in, sizes, tables) -> dict:
     """A run of steps over a ring that counts (NAT), grouped as ``_walk``
     groups them: each group of keys is one lane of a packed walk
-    (``walk_lanes``) through the run's ``tables``, ``sizes`` giving each
+    (``walk_packed``) through the run's ``tables``, ``sizes`` giving each
     step's n^out, and each nonzero lane of the column at digit o puts its
     value at its group's key with o in the block's place."""
     groups = {}
     for key, v in tensor.items():
         q = key // stride
         groups.setdefault((q // m_in, key % stride), []).append((q % m_in, v))
+
+    def pack(size):
+        columns = [0] * m_in
+        for lane, entries in enumerate(groups.values()):
+            for x, v in entries:
+                columns[x] |= v << (8 * size * lane)
+        return columns
+
     total = max([sum(v for _, v in entries) for entries in groups.values()], default=0)
-    size = lane_bytes(ring, total, tables)
-    columns = [0] * m_in
-    for lane, entries in enumerate(groups.values()):
-        for x, v in entries:
-            columns[x] |= v << (8 * size * lane)
+    columns, size = walk_packed(ring, tables, sizes, pack, len(groups), total)
     m_out = sizes[-1]
     places = [(hi * m_out, lo) for hi, lo in groups]
     out = {}
-    for o, column in enumerate(walk_lanes(ring.add, tables, sizes, columns)):
+    for o, column in enumerate(columns):
         if column:
             values = lane_values(column, size, len(places))
             for (hi, lo), v in compress(zip(places, values), values):

@@ -90,11 +90,6 @@ class FinTop(Record):
     def _point_set(self) -> frozenset:
         return frozenset(self.points)
 
-    @cached_property
-    def _discrete(self) -> bool:
-        """Every minimal open is a singleton, so every set is open."""
-        return all(len(u) == 1 for u in self.min_open.values())
-
     def _known(self, members) -> frozenset:
         s = frozenset(members)
         unknown = s - self._point_set
@@ -276,17 +271,11 @@ def _least_relabelling(rel, n) -> tuple:
 
 def endo_violations(space: FinTop, image: dict) -> list:
     """Why ``image`` fails to define a union-respecting endomorphism;
-    empty when valid.  On a discrete space every set is open and every map
-    is monotone, so only a missing image or an unknown point can fail."""
+    empty when valid."""
     bad = []
     for x in space.points:
         if x not in image:
             bad.append(f"no image for {x}")
-    if space._discrete:
-        for x in space.points:
-            if x in image:
-                space._known(image[x])
-        return bad
     for x in space.points:
         u = image.get(x)
         if u is None:

@@ -302,7 +302,7 @@ def test_counted_runs_match_dense_layers(seed):
         assert eval_nfa(nfa, d, NAT).matrix == dense_eval_nfa(nfa, d, NAT)
 
 
-@pytest.mark.parametrize("length", [1, 8, 40, 60])
+@pytest.mark.parametrize("length", [1, 8, 40, 60, 200])
 def test_counted_runs_are_exact_past_every_fixed_lane_width(length):
     # on the complete automaton on k states a^m has k^m closed paths, and
     # k^(m-1) paths between any two states
@@ -315,6 +315,20 @@ def test_counted_runs_are_exact_past_every_fixed_lane_width(length):
     assert eval_nfa(nfa, interval_diagram(w), NAT).scalar() == k ** (length - 1)
     strand = Diagram.make([[dot("a")] for _ in w], domain=("+",))
     assert eval_nfa(nfa, strand, NAT).matrix == nfa.word_matrix(w, NAT).transpose()
+
+
+def test_a_run_that_starts_from_counts_past_a_machine_word_is_exact():
+    # a cup's two wires carry the dots of one closed walk: those on the '-'
+    # wire run after those on the '+' wire, from its counts (3^59 on the
+    # complete automaton), so their lanes start wider than a machine word
+    states = ["p", "q", "r"]
+    nfa = Nfa.make(states, ["a"], [(x, "a", y) for x in states for y in states],
+                   ["p"], ["r"])
+    left = [[dot("a"), ident("-")] for _ in range(60)]
+    right = [[ident("+"), dot("a", "-")] for _ in range(60)]
+    d = Diagram.make([[cup("+")], *left, *right, [cap("+")]])
+    assert eval_nfa(nfa, d, NAT).scalar() == 3 ** 120
+    assert eval_nfa(nfa, d, NAT).matrix == dense_eval_nfa(nfa, d, NAT)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autcob.automaton import Nfa, rotations
+from autcob.automaton import Nfa, rotations, walk_packed
 from autcob.semiring import BOOL, NAT
 from autcob.topology import Endo, FinTop, TAutomaton, discrete
 from util import SIERPINSKI, all_words, dense_word_matrix, random_nfa, random_tautomaton
@@ -133,10 +133,10 @@ COMPLETE3 = Nfa.make(
 )
 
 
-@pytest.mark.parametrize("length", [1, 5, 8, 16, 40, 60])
+@pytest.mark.parametrize("length", [1, 5, 8, 16, 40, 60, 200])
 def test_word_matrix_counts_past_every_fixed_lane_width(length):
-    # the packed walk gives these lanes 1, 1, 2, 4, 8 and 16 bytes: every
-    # size it uses, the last one wider than any machine integer
+    # the packed walk gives these lanes 1, 1, 2, 4 and 8 bytes, then widens
+    # 8 -> 16 and 8 -> 16 -> 32 -> 64 bytes part way through the word
     w = "a" * length
     counts = COMPLETE3.word_matrix(w, NAT)
     assert counts == dense_word_matrix(COMPLETE3, w, NAT)
@@ -150,6 +150,29 @@ def test_a_letter_with_no_transitions_gives_the_zero_matrix(w):
         m = COMPLETE3.word_matrix(w, ring)
         assert m == dense_word_matrix(COMPLETE3, w, ring)
         assert set(m.entries) == {0}
+
+
+# 'a' turns a cycle on s0 ... s7 once around, and b, which no state
+# reaches, has two successors on it: every path count is 0 or 1, though the
+# largest out-degree doubles the bound on a lane's sum at every letter
+BRANCH_OFF_A_CYCLE = Nfa.make(
+    [*(f"s{i}" for i in range(8)), "b"], ["a"],
+    [*((f"s{i}", "a", f"s{(i + 1) % 8}") for i in range(8)), ("b", "a", "s0"), ("b", "a", "s1")],
+    ["s0"], ["s7"],
+)
+
+
+def test_lanes_follow_the_counts_not_the_largest_out_degree():
+    w = "a" * 400
+    counts = BRANCH_OFF_A_CYCLE.word_matrix(w, NAT)
+    assert counts == dense_word_matrix(BRANCH_OFF_A_CYCLE, w, NAT)
+    assert set(counts.entries) == {0, 1}
+    n = len(BRANCH_OFF_A_CYCLE.states)
+    tables = [BRANCH_OFF_A_CYCLE._rows["a"]] * len(w)
+    columns, size = walk_packed(
+        NAT, tables, [n] * len(w), lambda size: [1 << (8 * size * q) for q in range(n)], n)
+    # the bound over the whole word is 2^400, 51 bytes; the sums stay at 2
+    assert size == 8
 
 
 ONE_STATE = Nfa.make(["s"], ["a", "b"], [("s", "a", "s")], ["s"], ["s"])
