@@ -22,13 +22,14 @@ own 0-2 wires through a table: a list, by the flat index of its input
 tuple, of the flat indices of the output tuples it reaches.  Every
 generator image is a 0/1 relation, so tables hold no values, and a step
 only adds, when two paths reach one index.  Identity wires take no step; a
-swap is a table like any other.  Over an idempotent semiring (BOOL) every
-value is one, and the sum over paths is the subset walk: each run of two
-or more steps on one block of digits (``birth+ ; dot... ; death+``, the
-dots of a circle) is one frontier walk with ``automaton.walk`` per group
-of keys that agree off the block.  Over NAT each such run is one
-``automaton.walk_packed`` pass, with one lane per group of keys wide enough
-for the group's path counts.
+swap is a table like any other.  A single step is applied alone.  A run of
+two or more steps on one block of digits (``birth+ ; dot... ; death+``,
+the dots of a circle) is one ``automaton.walk_packed`` pass over either
+ring, with one lane per group of keys that agree off the block, wide
+enough for the group's path counts (a byte over BOOL, where every value is
+one).  Only a BOOL run whose keys form one group, as on every interval,
+walks a set with ``automaton.walk`` instead: a set walk touches only the
+frontier, where a packed walk reads every column.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
 that share no wire are never contracted together.  ``_plan`` threads the
@@ -144,35 +145,25 @@ def _runs(steps):
         yield run
 
 
-def _walk(one, tensor, stride, m_in, m_out, tables) -> dict:
-    """A run of steps over an idempotent ring, where every value is one:
-    the keys that differ only in the block the run reads, ``q % m_in``
-    with ``q = key // stride``, walk their digits through the run's
-    ``tables`` together, as ``walk`` runs a word, and each digit reached
-    takes the block's place in the key."""
-    groups = {}
-    for key in tensor:
-        q = key // stride
-        groups.setdefault((q // m_in, key % stride), []).append(q % m_in)
-    word = range(len(tables))
-    out = {}
-    for (hi, lo), digits in groups.items():
-        hi *= m_out
-        for o in walk(tables, digits, word):
-            out[(hi + o) * stride + lo] = one
-    return out
-
-
 def _count(ring, tensor, stride, m_in, sizes, tables) -> dict:
-    """A run of steps over a ring that counts (NAT), grouped as ``_walk``
-    groups them: each group of keys is one lane of a packed walk
-    (``walk_packed``) through the run's ``tables``, ``sizes`` giving each
-    step's n^out, and each nonzero lane of the column at digit o puts its
-    value at its group's key with o in the block's place."""
+    """A run of steps, over either ring.  The keys that differ only in the
+    block the run reads, ``q % m_in`` with ``q = key // stride``, form a
+    group; each group is one lane of a packed walk (``walk_packed``)
+    through the run's ``tables``, ``sizes`` giving each step's n^out, and
+    each nonzero lane of the column at digit o puts its value at its
+    group's key with o in the block's place.  Over an idempotent ring
+    (BOOL) one group (every interval) walks its digits as a set with
+    ``walk`` instead, since a set walk touches only the frontier where a
+    packed one reads every column."""
     groups = {}
     for key, v in tensor.items():
         q = key // stride
         groups.setdefault((q // m_in, key % stride), []).append((q % m_in, v))
+    m_out = sizes[-1]
+    if len(groups) == 1 and ring.add(ring.one, ring.one) == ring.one:
+        [((hi, lo), entries)] = groups.items()
+        reached = walk(tables, [x for x, _ in entries], range(len(tables)))
+        return {(hi * m_out + o) * stride + lo: ring.one for o in reached}
 
     def pack(size):
         columns = [0] * m_in
@@ -183,7 +174,6 @@ def _count(ring, tensor, stride, m_in, sizes, tables) -> dict:
 
     total = max([sum(v for _, v in entries) for entries in groups.values()], default=0)
     columns, size = walk_packed(ring, tables, sizes, pack, len(groups), total)
-    m_out = sizes[-1]
     places = [(hi * m_out, lo) for hi, lo in groups]
     out = {}
     for o, column in enumerate(columns):
@@ -280,22 +270,18 @@ def _contract(ring, image, cols, steps) -> dict:
     """The nonzeros of one component, keyed by the flat index of its
     codomain basis tuple times its ``cols`` domain columns plus its domain
     column: the row-major offset in its own matrix.  Each step's table is
-    built here, after every guard has passed.  A single step is applied
-    alone.  Each run of two or more steps is one pass: where addition is
-    idempotent (BOOL), every value is one, and the run is a frontier walk
-    per group of keys; over NAT, whose values count paths, it is one
-    packed walk with a lane per group."""
+    built here, after every guard has passed.  A single step goes to
+    ``_apply``; a run of two or more steps goes to ``_count``, one packed
+    walk on either ring, where only a one-group BOOL run walks sets.
+    Packing pays only across a run: a lone step would pack and unpack
+    every key for one table."""
     tensor = {col * cols + col: ring.one for col in range(cols)}
-    idempotent = ring.add(ring.one, ring.one) == ring.one
     for run in _runs(steps):
         stride, m_in, m_out, g = run[0]
         if len(run) == 1:
             tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
-            continue
-        tables = [image(g) for *_, g in run]
-        if idempotent:
-            tensor = _walk(ring.one, tensor, stride, m_in, run[-1][2], tables)
         else:
+            tables = [image(g) for *_, g in run]
             tensor = _count(ring, tensor, stride, m_in, [s[2] for s in run], tables)
     return tensor
 

@@ -280,9 +280,10 @@ def run_diagram(rng, letters, labels=(), foam=False, max_width=4):
 @settings(max_examples=80, deadline=None)
 @given(seeds)
 def test_walked_runs_are_the_support_of_the_path_counts(seed):
-    # over BOOL each run of steps is one frontier walk of sets per group of
-    # keys; over NAT it is one packed walk of counts with a lane per group,
-    # which the next test checks against dense layers
+    # both rings run each run of steps through one packed walk with a lane
+    # per group of keys (a BOOL run of one group walks a set instead), so
+    # this checks the two rings against each other; the next test checks
+    # each against dense layers
     rng = random.Random(seed)
     nfa = random_nfa(rng, max_states=4, density=rng.choice([0.2, 0.4, 0.7]))
     for _ in range(3):
@@ -299,7 +300,8 @@ def test_counted_runs_match_dense_layers(seed):
     nfa = random_nfa(rng, max_states=3, density=rng.choice([0.2, 0.4, 0.7, 1.0]))
     for _ in range(2):
         d = run_diagram(rng, nfa.alphabet, labels=nfa.states, max_width=3)
-        assert eval_nfa(nfa, d, NAT).matrix == dense_eval_nfa(nfa, d, NAT)
+        for ring in (BOOL, NAT):
+            assert eval_nfa(nfa, d, ring).matrix == dense_eval_nfa(nfa, d, ring)
 
 
 @pytest.mark.parametrize("length", [1, 8, 40, 60, 200])
@@ -315,6 +317,24 @@ def test_counted_runs_are_exact_past_every_fixed_lane_width(length):
     assert eval_nfa(nfa, interval_diagram(w), NAT).scalar() == k ** (length - 1)
     strand = Diagram.make([[dot("a")] for _ in w], domain=("+",))
     assert eval_nfa(nfa, strand, NAT).matrix == nfa.word_matrix(w, NAT).transpose()
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 40])
+def test_bool_runs_of_many_lanes_match_set_walks_and_dense_products(n):
+    # a circle's dots run with one lane per state, and so does a strand
+    # with a domain wire, so n is the lane count; the interval is one
+    # group.  The references walk sets (trace_eval, interval_eval) or
+    # multiply dense letter matrices, never the packed walk
+    rng = random.Random(n)
+    for degree in (0.5, 1, 3):  # successors per state and letter, on average
+        nfa = random_nfa(rng, max_states=n, min_states=n, density=degree / max(n, 1))
+        for length in (0, 1, 2, 9, 30):
+            w = "".join(rng.choice("ab") for _ in range(length))
+            assert eval_circle(nfa, w) == nfa.trace_eval(w)
+            assert eval_interval(nfa, w) == nfa.interval_eval(w)
+            strand = Diagram.make([[dot(a)] for a in w], domain=("+",))
+            assert (eval_nfa(nfa, strand, BOOL).matrix
+                    == dense_word_matrix(nfa, w, BOOL).transpose())
 
 
 def test_a_run_that_starts_from_counts_past_a_machine_word_is_exact():
@@ -362,7 +382,8 @@ def test_evaluation_leaves_the_rows_it_reads_unchanged():
             yield random_diagram(rng, letters=letters, max_width=3, foam=foam,
                                  labels=labels)
             # runs of dots and chains through births, deaths, cups and caps
-            # are walked over BOOL, reading the same tables
+            # are packed walks on both rings (a set walk for one group over
+            # BOOL), reading the same tables
             yield run_diagram(rng, letters, labels=labels, foam=foam, max_width=3)
         if foam:
             yield next(bare_strand_diagrams("a", "b"))

@@ -14,11 +14,12 @@ def test_import_writes_nothing_to_stderr():
     # the package loads the functor's modules only: no logging, and no
     # oracle, which only `oracle sweep` reads; records are plain classes,
     # so neither dataclasses nor the inspect module it pulls in is loaded;
-    # -S keeps site's imports out
+    # annotations come from collections.abc, so typing is not loaded
+    # either; -S keeps site's imports out
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import autcob, autcob.cli;"
-        " print(sorted({'logging', 'autcob.oracle', 'dataclasses', 'inspect'}"
-        " & sys.modules.keys()))"
+        " print(sorted({'logging', 'autcob.oracle', 'dataclasses', 'inspect',"
+        " 'typing'} & sys.modules.keys()))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
