@@ -70,6 +70,10 @@ class Gen(Record):
             raise ValueError("swap needs two signs")
         if kind == "dot" and not letter:
             raise ValueError("dot needs a letter")
+        if letter is not None and kind != "dot":
+            raise ValueError("letters are only supported on dots")
+        if sign2 is not None and kind != "swap" or sign is not None and kind in _FOAM:
+            raise ValueError(f"{kind} takes {'one sign' if kind in _SIGNED else 'no sign'}")
         if label is not None and not (kind in ("birth", "death") and sign == "+"):
             raise ValueError("labels are only supported on birth+/death+")
         self.__dict__.update(kind=kind, sign=sign, sign2=sign2, letter=letter, label=label)
@@ -207,24 +211,98 @@ class Diagram(Record):
         return cls(slices, tuple(domain))
 
     def typecheck(self) -> tuple:
-        """Thread the sign sequence through every slice; returns
-        (domain, codomain) or raises at the first ill-typed slice."""
-        boundary = self.domain
-        for k, slc in enumerate(self.slices):
-            need = tuple(s for g in slc for s in g.inputs())
-            if need != boundary:
-                raise DiagramTypeError(
-                    "slice does not fit its boundary",
-                    slice_index=k,
-                    expected=boundary,
-                    actual=need,
-                )
-            boundary = tuple(s for g in slc for s in g.outputs())
-        return self.domain, boundary
+        """(domain, codomain) from the one cached pass, ``_plan``; raises
+        ``DiagramTypeError`` at the first slice that does not fit its boundary."""
+        return self.domain, self._plan[0]
 
     @cached_property
     def codomain(self) -> tuple:
         return self.typecheck()[1]
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The codomain and each connected component, from one pass over the
+        slices that holds for every number n of basis elements per wire.
+
+        The pass checks each slice against its boundary and threads the wire
+        segments with a union-find: identity wires carry their segments
+        through, swaps cross them, every other generator joins all its own.
+        Each component, in the order its first segment is met (domain wires,
+        then slice by slice), gets its domain and codomain positions, widest
+        boundary and steps (e, inputs, outputs, generator), shrinking
+        generators first so no boundary in between is wider than the slice's
+        ends.  A step maps n^inputs basis tuples to n^outputs at the stride
+        n^e, e counting the component's domain wires and its segments right
+        of the step as it runs.  Identity wires take no step, nor does a swap
+        between two components; a bare strand takes the step (1, 1, 1, id)."""
+        dom = self.domain
+        parent = list(range(len(dom)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        signs, boundary = dom, parent[:]
+        records = []  # per slice, per generator: (generator, inputs, outputs)
+        for k, slc in enumerate(self.slices):
+            row, out, made, pos = [], [], (), 0
+            for g in slc:
+                need, gives = g.inputs(), g.outputs()
+                end = pos + len(need)
+                if signs[pos:end] != need:
+                    pos = -1  # fails the fit below
+                    break
+                ins = boundary[pos:end]
+                if g.kind in ("id", "swap"):
+                    outs = ins[::-1]
+                else:
+                    first = len(parent)
+                    root = find(ins[0]) if ins else first
+                    for x in ins[1:]:
+                        parent[find(x)] = root
+                    outs = list(range(first, first + len(gives)))
+                    parent += [root] * len(gives)
+                row.append((g, ins, outs))
+                out += outs
+                made += gives
+                pos = end
+            if pos != len(signs):
+                raise DiagramTypeError(
+                    "slice does not fit its boundary", slice_index=k, expected=signs,
+                    actual=tuple(s for g in slc for s in g.inputs()),
+                )
+            records.append(row)
+            signs, boundary = made, out
+        order = {}
+        comp = [order.setdefault(find(x), len(order)) for x in range(len(parent))]
+        parts = [([], [], []) for _ in order]  # domain and codomain positions, steps
+        for side, segs in enumerate((range(len(dom)), boundary)):
+            for j, x in enumerate(segs):
+                parts[comp[x]][side].append(j)
+        width = [len(dpos) for dpos, _, _ in parts]
+        widest = width[:]
+        for row in records:
+            moves = [k for k, (g, ins, _) in enumerate(row)
+                     if g.kind != "id" and (g.kind != "swap" or comp[ins[0]] == comp[ins[1]])]
+            if len(moves) > 1:  # shrinking generators first, each kept in slice order
+                moves.sort(key=lambda k: len(row[k][2]) - len(row[k][1]))
+            now = [ins for _, ins, _ in row]  # the slice's boundary as its steps run
+            for k in moves:
+                g, ins, outs = row[k]
+                c = comp[(ins or outs)[0]]
+                now[k] = outs
+                right = 0  # the component's segments right of the step
+                if k + 1 < len(row):
+                    right = sum(comp[x] == c for segs in now[k + 1:] for x in segs)
+                parts[c][2].append((right + len(parts[c][0]), len(ins), len(outs), g))
+                width[c] += len(outs) - len(ins)
+                widest[c] = max(widest[c], width[c])
+        return signs, [
+            (dpos, cpos, w, steps or [(1, 1, 1, ident(dom[dpos[0]]))])
+            for (dpos, cpos, steps), w in zip(parts, widest)
+        ]
 
     @property
     def is_closed(self) -> bool:

@@ -32,15 +32,17 @@ walks a set with ``automaton.walk`` instead: a set walk touches only the
 frontier, where a packed walk reads every column.
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
-that share no wire are never contracted together.  ``_plan`` threads the
-wire segments once with a union-find and hands back each connected
-component as its own step list (a swap joins nothing, and one between two
-components takes no step); each component runs through its own running
-tensor.  The result's nonzeros start as the unit and take the product
-with each component's, each placed at the sum of its wires' offsets in
-the result, so a closed diagram's value is the product of the component
-scalars (the unit when there is none), and a component that evaluates to
-zero ends the loop.  The dense matrix is written once, at the end.
+that share no wire are never contracted together.  A diagram's cached
+``Diagram._plan``, made once per diagram whatever n is, threads its wire
+segments with a union-find and hands back each connected component as
+its own step list, strides and sizes as exponents of n (a swap joins
+nothing, and one between two components takes no step); ``_run`` raises
+n to them, and each component runs through its own running tensor.  The
+result's nonzeros start as the unit and take the product with each
+component's, each placed at the sum of its wires' offsets in the result,
+so a closed diagram's value is the product of the component scalars (the
+unit when there is none), and a component that evaluates to zero ends
+the loop.  The dense matrix is written once, at the end.
 
 Every wire carries one module model: the free module on a finite basis
 (states or points) with a minimal open set U_x around each basis element,
@@ -64,7 +66,7 @@ from functools import cache
 from itertools import compress
 
 from .automaton import Nfa, as_word, lane_values, walk, walk_packed
-from .diagrams import _FOAM, Diagram, Gen, circle_diagram, ident, interval_diagram
+from .diagrams import _FOAM, Diagram, Gen, circle_diagram, interval_diagram
 from .errors import CapacityError, Record
 from .semiring import BOOL, Mat, Semiring
 from .topology import TAutomaton
@@ -184,88 +186,6 @@ def _count(ring, tensor, stride, m_in, sizes, tables) -> dict:
     return out
 
 
-def _plan(diagram: Diagram, n) -> list:
-    """Plan a typechecked diagram one connected component at a time.
-
-    One pass threads the wire segments through the slices with a
-    union-find and records each generator's input and output segments:
-    identity wires carry their segments through, swaps cross them, and
-    every other generator joins all of its own.  One walk over the records
-    then gives each component, in the order its first segment is met
-    (domain wires left to right, then slice by slice), its domain
-    positions, its codomain positions, its widest boundary and its steps
-    (stride, n^inputs, n^outputs, generator).  The stride is n to the power
-    of the component's segments right of the step, on the boundary as it
-    stands when the step runs, times the component's domain columns.
-    Shrinking generators go first, so no boundary in between is wider than
-    the slice's input or output.  Identity wires take no step, nor does a swap
-    between two components; a bare strand, a component that meets no
-    generator, takes its wire's E."""
-    dom = diagram.domain
-    parent = list(range(len(dom)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    boundary = list(range(len(dom)))
-    records = []  # per slice, per generator: (generator, inputs, outputs)
-    for slc in diagram.slices:
-        row, out, pos = [], [], 0
-        for g in slc:
-            end = pos + len(g.inputs())
-            ins = boundary[pos:end]
-            if g.kind in ("id", "swap"):
-                outs = ins[::-1]
-            else:
-                first = len(parent)
-                outs = list(range(first, first + len(g.outputs())))
-                parent.extend(outs)
-                segs = ins + outs
-                root = find(segs[0])
-                for x in segs[1:]:
-                    parent[find(x)] = root
-            row.append((g, ins, outs))
-            out += outs
-            pos = end
-        records.append(row)
-        boundary = out
-    order = {}
-    comp = [order.setdefault(find(x), len(order)) for x in range(len(parent))]
-    parts = [([], [], []) for _ in order]  # domain and codomain positions, steps
-    for i in range(len(dom)):
-        parts[comp[i]][0].append(i)
-    width = [len(dpos) for dpos, _, _ in parts]
-    widest = width[:]
-    for row in records:
-        moves = [k for k, (g, ins, _) in enumerate(row)
-                 if g.kind != "id" and (g.kind != "swap" or comp[ins[0]] == comp[ins[1]])]
-        if len(moves) > 1:  # shrinking generators first, each kept in slice order
-            moves.sort(key=lambda k: len(row[k][2]) - len(row[k][1]))
-        now = [ins for _, ins, _ in row]  # the slice's boundary as its steps run
-        for k in moves:
-            g, ins, outs = row[k]
-            c = comp[(ins or outs)[0]]
-            now[k] = outs
-            right = 0  # the component's segments right of the step
-            if k + 1 < len(row):
-                right = sum(comp[x] == c for segs in now[k + 1:] for x in segs)
-            dpos, _, steps = parts[c]
-            i, o = len(ins), len(outs)
-            steps.append((n ** (right + len(dpos)), n ** i, n ** o, g))
-            width[c] += o - i
-            if width[c] > widest[c]:
-                widest[c] = width[c]
-    for j, x in enumerate(boundary):
-        parts[comp[x]][1].append(j)
-    return [
-        (dpos, cpos, w, steps or [(n, n, n, ident(dom[dpos[0]]))])
-        for (dpos, cpos, steps), w in zip(parts, widest)
-    ]
-
-
 def _contract(ring, image, cols, steps) -> dict:
     """The nonzeros of one component, keyed by the flat index of its
     codomain basis tuple times its ``cols`` domain columns plus its domain
@@ -312,7 +232,7 @@ def _run(machine, diagram: Diagram, ring: Semiring, foam=True) -> Evaluation:
     n, dom, cod = len(machine._up), diagram.domain, diagram.codomain
     _guard(n, "the result", f"{len(cod)} codomain and {len(dom)} domain wires",
            len(cod) + len(dom))
-    parts = _plan(diagram, n)
+    parts = diagram._plan[1]
     for k, (dpos, _, widest, _) in enumerate(parts, 1):
         _guard(n, f"component {k} of {len(parts)}",
                f"{widest} boundary and {len(dpos)} domain wires", widest + len(dpos))
@@ -322,6 +242,7 @@ def _run(machine, diagram: Diagram, ring: Semiring, foam=True) -> Evaluation:
     found = [(0, ring.one)]  # (flat offset, value) of each nonzero so far
     for dpos, cpos, _, steps in parts:
         width = n ** len(dpos)
+        steps = [(n ** e, n ** i, n ** o, g) for e, i, o, g in steps]
         tensor = _contract(ring, image, width, steps)
         at_row = _spread(n, cpos, len(cod), cols)
         at_col = _spread(n, dpos, len(dom), 1)

@@ -10,6 +10,7 @@ from autcob.diagrams import (
     SPLIT,
     UNIT,
     Diagram,
+    Gen,
     birth,
     cap,
     compose,
@@ -75,6 +76,25 @@ def test_gen_validation():
         birth("-", label="q")  # labels only on '+'
     with pytest.raises(ValueError):
         ident("?")
+
+
+@pytest.mark.parametrize(
+    "args, fields, refusal",
+    [
+        (("id", "+"), {"letter": "a"}, "letters are only supported on dots"),
+        (("birth", "+"), {"letter": "a"}, "letters are only supported on dots"),
+        (("cup", "+", "-"), {}, "cup takes one sign"),
+        (("dot", "+", "+"), {"letter": "a"}, "dot takes one sign"),
+        (("merge", "+"), {}, "merge takes no sign"),
+        (("counit", "-"), {}, "counit takes no sign"),
+        (("split", None, "+"), {}, "split takes no sign"),
+        (("unit", "+"), {}, "unit takes no sign"),
+    ],
+)
+def test_gen_refuses_fields_its_kind_does_not_take(args, fields, refusal):
+    # such a generator would not come back from its text or JSON as itself
+    with pytest.raises(ValueError, match=refusal):
+        Gen(*args, **fields)
 
 
 # -- compose and tensor ------------------------------------------------------------

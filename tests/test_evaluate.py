@@ -637,6 +637,9 @@ def test_a_diagram_is_typechecked_once(monkeypatch):
     monkeypatch.setattr(Diagram, "typecheck", lambda e: calls.append(e) or typecheck(e))
     assert eval_nfa(A2, d).scalar() == eval_tautomaton(discrete(A2), d).scalar() == 1
     assert eval_nfa(A2, d, NAT).scalar() == 2  # from q1 and from q2
+    # a five-cycle with a loop at 0: the one closed walk of length 2 is 0 0 0
+    five = Nfa.make(range(5), "a", [(q, "a", (q + 1) % 5) for q in range(5)] + [(0, "a", 0)])
+    assert eval_nfa(five, d, NAT).scalar() == eval_nfa(five, d).scalar() == 1
     assert calls == [d]
 
 
@@ -797,6 +800,9 @@ def test_strands_crossing_between_components_match_dense_layers(seed):
         ],
         domain=("+", "+", "-"),
     )
-    assert len(evaluate._plan(d, len(nfa.states))) == 4
-    for ring in (BOOL, NAT):
-        assert eval_nfa(nfa, d, ring).matrix == dense_eval_nfa(nfa, d, ring)
+    assert len(d._plan[1]) == 4
+    # the cached plan serves every n: the random automaton, then 0 and 1 states
+    for m in (nfa, random_nfa(rng, max_states=0, min_states=0),
+              random_nfa(rng, max_states=1, density=0.6)):
+        for ring in (BOOL, NAT):
+            assert eval_nfa(m, d, ring).matrix == dense_eval_nfa(m, d, ring)
