@@ -3,7 +3,7 @@
 An automaton is a labelled oriented graph on interned string ids.  A letter
 sends state x to its set of successors; ``Nfa._rows`` indexes these images
 by state index, and ``walk`` runs a word through them as a frontier of
-indices.  ``walk_lanes`` runs every start at once instead: each index holds
+indices.  ``walk_packed`` runs every start at once instead: each index holds
 one int with a lane per start, and a step adds lane by lane; the word
 matrix is one such walk, over BOOL or NAT.  Interval evaluation walks from
 the initial states and asks to meet an accepting one; trace evaluation
@@ -19,6 +19,7 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from itertools import chain
 
 from .errors import Record
 from .semiring import BOOL, Mat, Semiring
@@ -58,46 +59,50 @@ def walk(rows, seeds, word) -> set:
     return frontier
 
 
-def walk_lanes(add, tables, sizes, columns) -> list:
-    """Run packed columns through ``tables`` in one pass.  ``columns[x]``
-    is one int holding, one lane per start, the value each start has at
-    index x; step k sends the column at x to every output index of
-    ``tables[k][x]`` (``sizes[k]`` of them), adding where paths meet.
-    ``add`` works lane by lane: OR over BOOL, and + over NAT as long as
-    no lane carries into the next (``walk_packed`` sees to that)."""
-    for table, size in zip(tables, sizes):
-        new = [0] * size
-        for column, outs in zip(columns, table):
-            if column:
-                for y in outs:
-                    new[y] = add(new[y], column)
-        columns = new
-    return columns
+def walk_packed(ring, tables, starts, count, width) -> list:
+    """Run ``count`` lanes through ``tables`` at once, from ``starts``, the
+    nonzero ``(index, lane, value)`` entries (one per index and lane);
+    gives, by output index of the last step (``width`` of them), the lanes'
+    values, lowest lane first, or None where every lane is zero.
 
-
-def walk_packed(ring, tables, sizes, pack, count, total=1) -> tuple:
-    """``walk_lanes`` for ``count`` lanes whose values each sum to at most
-    ``total``, started from ``pack(size)``, the columns with ``size``-byte
-    lanes; gives the last step's columns and their lane size.
-
-    Over an idempotent ring (BOOL) a value is 0 or 1 and OR never carries,
-    so a lane is a byte.  Otherwise a step multiplies a lane's sum by at
-    most the table's largest out-degree, and no value exceeds its lane's
-    sum.  When that bound over the whole run needs more than 8 bytes it
-    can overshoot the counts by far (one branching state anywhere is
-    enough), so lanes start at 8 bytes, or twice the bytes of ``total``,
-    and the walk goes in chunks that the bound keeps within them.  After
-    each chunk the lanes' sums are read back, from all columns added
-    (which no lane carries out of), and the lanes double when a sum fills
-    more than half of one."""
-    if ring.add(ring.one, ring.one) == ring.one:
-        return walk_lanes(ring.add, tables, sizes, pack(1)), 1
-    degrees = [max([1, *map(len, table)]) for table in tables]
-    bound = total
-    for d in degrees:
-        bound *= d
-    size = lane_bytes(min(bound, max(total * total, 1 << 63)))
-    columns = pack(size)
+    Each index holds one int with a lane per start.  Step k sends the
+    column at x to every index of ``tables[k][x]``, out of
+    ``len(tables[k + 1])``, adding lane by lane where paths meet.  Over an
+    idempotent ring (BOOL) OR never carries, so a lane is a byte, and one
+    lane walks a set (``walk``), which touches only the frontier where a
+    packed walk reads every column.  Otherwise a step multiplies a lane's
+    sum by at most the table's largest out-degree, and no value exceeds
+    its lane's sum.  When that bound over the whole run needs more than 8
+    bytes it can overshoot the counts by far (one branching state anywhere
+    is enough), so lanes start at 8 bytes, or twice the bytes of the
+    largest sum, and the walk goes in chunks that the bound keeps within
+    them.  After each chunk the lanes' sums are read back, from all columns
+    added (which no lane carries out of), and the lanes double when a sum
+    fills more than half of one."""
+    add = ring.add
+    if add(ring.one, ring.one) == ring.one:
+        if count == 1:
+            out, hit = [None] * width, (ring.one,)
+            for o in walk(tables, [x for x, _, _ in starts], range(len(tables))):
+                out[o] = hit
+            return out
+        degrees, total, bound = [1] * len(tables), 1, 1
+    else:
+        degrees = [max([1, *map(len, table)]) for table in tables]
+        sums = [0] * count
+        for _, lane, v in starts:
+            sums[lane] += v
+        bound = total = max(sums, default=0)
+        for d in degrees:
+            bound *= d
+    bound = min(bound, max(total * total, 1 << 63))
+    size = 1  # a power of two: lane_values casts up to 8 bytes, widen moves words
+    while bound >> (8 * size):
+        size *= 2
+    columns = [0] * (len(tables[0]) if tables else width)
+    for x, lane, v in starts:
+        columns[x] |= v << (8 * size * lane)
+    sizes = [*map(len, tables[1:]), width]
     done = 0
     while True:
         limit = 1 << (8 * size)
@@ -105,24 +110,20 @@ def walk_packed(ring, tables, sizes, pack, count, total=1) -> tuple:
         while end < len(tables) and bound * degrees[end] < limit:
             bound *= degrees[end]
             end += 1
-        columns = walk_lanes(ring.add, tables[done:end], sizes[done:end], columns)
+        for table, m in zip(tables[done:end], sizes[done:end]):
+            new = [0] * m
+            for column, outs in zip(columns, table):
+                if column:
+                    for y in outs:
+                        new[y] = add(new[y], column)
+            columns = new
         if end == len(tables):
-            return columns, size
+            return [lane_values(c, size, count) if c else None for c in columns]
         done = end
         total = max(lane_values(sum(columns), size, count))
         if total * max(total, degrees[done]) >= limit:  # total < limit: once is enough
             columns = [widen(column, size, count) for column in columns]
             size *= 2
-
-
-def lane_bytes(bound) -> int:
-    """The bytes of a lane that holds every value up to ``bound``: a power
-    of two, so that ``lane_values`` reads a column of lanes up to 8 bytes
-    with one conversion and ``widen`` moves whole machine words."""
-    size = 1
-    while bound >> (8 * size):
-        size *= 2
-    return size
 
 
 _UNITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -327,11 +328,10 @@ class Nfa(Record):
         rows = self._rows
         tables = [rows[a] for a in checked_word(rows, w)]
         n = len(self.states)
-        columns, size = walk_packed(
-            ring, tables, [n] * len(tables),
-            lambda size: [1 << (8 * size * q) for q in range(n)], n)
-        columns = [lane_values(column, size, n) for column in columns]
-        return Mat(ring, n, n, tuple(v for row in zip(*columns) for v in row))
+        zero = (ring.zero,) * n
+        columns = walk_packed(ring, tables, [(q, q, 1) for q in range(n)], n, n)
+        columns = [column or zero for column in columns]
+        return Mat(ring, n, n, tuple(chain.from_iterable(zip(*columns))))
 
     # -- evaluations -------------------------------------------------------
 

@@ -18,27 +18,25 @@ MAX_COVER_SIZE = 1 << 16
 
 
 class GraphMap(Record):
-    """A map of automaton graphs: states to states, transitions to
-    transitions."""
+    """A map of automaton graphs, given by its map of states: ``Nfa.delta``
+    is a set of triples, so it sends a transition (q, a, r) to
+    (vm[q], a, vm[r])."""
 
-    _fields = ("vertex_map", "edge_map")
+    _fields = ("vertex_map",)
 
-    def __init__(self, vertex_map: dict, edge_map: dict):
-        self.__dict__.update(vertex_map=vertex_map, edge_map=edge_map)
+    def __init__(self, vertex_map: dict):
+        self.__dict__["vertex_map"] = vertex_map
 
     @classmethod
     def from_vertex_map(cls, cover: Nfa, base: Nfa, vertex_map: dict) -> GraphMap:
-        """Derive the edge map; fails if some cover edge has no image edge."""
+        """The map of states given; fails if some cover edge has no image edge."""
         vm = dict(vertex_map)
-        edge_map = {}
         for q, a, r in cover.delta:
             if q not in vm or r not in vm:
                 raise ValueError(f"vertex map is not total on edge ({q}, {a}, {r})")
-            image = (vm[q], a, vm[r])
-            if image not in base.delta:
+            if (vm[q], a, vm[r]) not in base.delta:
                 raise ValueError(f"edge ({q}, {a}, {r}) has no image in the base")
-            edge_map[(q, a, r)] = image
-        return cls(vm, edge_map)
+        return cls(vm)
 
 
 def fiber_projection(cover: Nfa, base: Nfa, sep: str = "@") -> GraphMap:
@@ -104,19 +102,16 @@ def voltage_cover(nfa: Nfa, n: int, voltages: dict) -> Nfa:
 
 def _structure_ok(p: GraphMap, cover: Nfa, base: Nfa) -> bool:
     vm = p.vertex_map
-    missing = set(cover.states) - set(vm)
-    if missing or set(cover.delta) - set(p.edge_map):
+    if set(cover.states) - set(vm):
         raise ValueError("map is not total on the cover")
     stray = set(vm).difference(cover.states)
     if stray:
         raise ValueError(f"vertex map names no cover state: {sorted(stray, key=str)}")
-    # surjective on states, consistent and label-preserving on edges
+    # surjective on states; every edge's image is a base edge
     if set(vm.values()) != set(base.states):
         return False
-    for e in cover.delta:
-        q, a, r = e
-        if p.edge_map[e] != (vm[q], a, vm[r]) or p.edge_map[e] not in base.delta:
-            return False
+    if any((vm[q], a, vm[r]) not in base.delta for q, a, r in cover.delta):
+        return False
     # decorations are exact preimages
     if {q for q in cover.states if vm[q] in base.initial} != cover.initial:
         return False

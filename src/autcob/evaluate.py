@@ -24,12 +24,9 @@ generator image is a 0/1 relation, so tables hold no values, and a step
 only adds, when two paths reach one index.  Identity wires take no step; a
 swap is a table like any other.  A single step is applied alone.  A run of
 two or more steps on one block of digits (``birth+ ; dot... ; death+``,
-the dots of a circle) is one ``automaton.walk_packed`` pass over either
-ring, with one lane per group of keys that agree off the block, wide
-enough for the group's path counts (a byte over BOOL, where every value is
-one).  Only a BOOL run whose keys form one group, as on every interval,
-walks a set with ``automaton.walk`` instead: a set walk touches only the
-frontier, where a packed walk reads every column.
+the dots of a circle) is one ``automaton.walk_packed`` call over either
+ring, with one lane per group of keys that agree off the block; the walk
+sizes the lanes, and over BOOL walks one lane as a set (every interval).
 
 A disjoint union evaluates to the tensor product of its parts, so pieces
 that share no wire are never contracted together.  A diagram's cached
@@ -65,7 +62,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress
 
-from .automaton import Nfa, as_word, lane_values, walk, walk_packed
+from .automaton import Nfa, as_word, walk_packed
 from .diagrams import _FOAM, Diagram, Gen, circle_diagram, interval_diagram
 from .errors import CapacityError, Record
 from .semiring import BOOL, Mat, Semiring
@@ -147,40 +144,21 @@ def _runs(steps):
         yield run
 
 
-def _count(ring, tensor, stride, m_in, sizes, tables) -> dict:
+def _count(ring, tensor, stride, m_in, m_out, tables) -> dict:
     """A run of steps, over either ring.  The keys that differ only in the
     block the run reads, ``q % m_in`` with ``q = key // stride``, form a
-    group; each group is one lane of a packed walk (``walk_packed``)
-    through the run's ``tables``, ``sizes`` giving each step's n^out, and
-    each nonzero lane of the column at digit o puts its value at its
-    group's key with o in the block's place.  Over an idempotent ring
-    (BOOL) one group (every interval) walks its digits as a set with
-    ``walk`` instead, since a set walk touches only the frontier where a
-    packed one reads every column."""
-    groups = {}
+    group; each group is one lane of a ``walk_packed`` pass through the
+    run's ``tables``, and each nonzero lane at output digit o puts its value
+    at its group's key with o in the block's place."""
+    lanes, starts = {}, []
     for key, v in tensor.items():
         q = key // stride
-        groups.setdefault((q // m_in, key % stride), []).append((q % m_in, v))
-    m_out = sizes[-1]
-    if len(groups) == 1 and ring.add(ring.one, ring.one) == ring.one:
-        [((hi, lo), entries)] = groups.items()
-        reached = walk(tables, [x for x, _ in entries], range(len(tables)))
-        return {(hi * m_out + o) * stride + lo: ring.one for o in reached}
-
-    def pack(size):
-        columns = [0] * m_in
-        for lane, entries in enumerate(groups.values()):
-            for x, v in entries:
-                columns[x] |= v << (8 * size * lane)
-        return columns
-
-    total = max([sum(v for _, v in entries) for entries in groups.values()], default=0)
-    columns, size = walk_packed(ring, tables, sizes, pack, len(groups), total)
-    places = [(hi * m_out, lo) for hi, lo in groups]
+        lane = lanes.setdefault((q // m_in, key % stride), len(lanes))
+        starts.append((q % m_in, lane, v))
+    places = [(hi * m_out, lo) for hi, lo in lanes]
     out = {}
-    for o, column in enumerate(columns):
-        if column:
-            values = lane_values(column, size, len(places))
+    for o, values in enumerate(walk_packed(ring, tables, starts, len(places), m_out)):
+        if values:
             for (hi, lo), v in compress(zip(places, values), values):
                 out[(hi + o) * stride + lo] = v
     return out
@@ -192,9 +170,8 @@ def _contract(ring, image, cols, steps) -> dict:
     column: the row-major offset in its own matrix.  Each step's table is
     built here, after every guard has passed.  A single step goes to
     ``_apply``; a run of two or more steps goes to ``_count``, one packed
-    walk on either ring, where only a one-group BOOL run walks sets.
-    Packing pays only across a run: a lone step would pack and unpack
-    every key for one table."""
+    walk on either ring.  Packing pays only across a run: a lone step
+    would pack and unpack every key for one table."""
     tensor = {col * cols + col: ring.one for col in range(cols)}
     for run in _runs(steps):
         stride, m_in, m_out, g = run[0]
@@ -202,7 +179,7 @@ def _contract(ring, image, cols, steps) -> dict:
             tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
         else:
             tables = [image(g) for *_, g in run]
-            tensor = _count(ring, tensor, stride, m_in, [s[2] for s in run], tables)
+            tensor = _count(ring, tensor, stride, m_in, run[-1][2], tables)
     return tensor
 
 

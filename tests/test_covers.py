@@ -264,7 +264,7 @@ def test_weak_covering_requires_surjectivity():
 
 
 def test_non_total_map_raises():
-    p = GraphMap({"q1@0": "q1"}, {})
+    p = GraphMap({"q1@0": "q1"})
     cover = cyclic_cover(A2, ["q1", "q2"], 1)
     with pytest.raises(ValueError, match="total"):
         is_covering(p, cover, A2)
@@ -285,10 +285,15 @@ def test_a_vertex_map_key_that_names_no_cover_state_raises():
 
 
 def test_label_mismatch_fails_structure():
-    base = Nfa.make(["q"], ["a", "b"], [("q", "a", "q"), ("q", "b", "q")], [], [])
-    cover = Nfa.make(["q@0"], ["a", "b"], [("q@0", "a", "q@0")], [], [])
-    p = GraphMap({"q@0": "q"}, {("q@0", "a", "q@0"): ("q", "b", "q")})
+    # the cover's a-loop goes to (q, a, q), and the base has only a b-loop;
+    # the b-loop lifts, so only the structure check can refuse the weak cover
+    base = Nfa.make(["q"], ["a", "b"], [("q", "b", "q")], [], [])
+    cover = Nfa.make(["q@0"], ["a", "b"], [("q@0", "a", "q@0"), ("q@0", "b", "q@0")], [], [])
+    p = GraphMap({"q@0": "q"})
     assert is_weak_covering(p, cover, base) is False
+    assert is_covering(p, cover, base) is False
+    with pytest.raises(ValueError, match="has no image in the base"):
+        GraphMap.from_vertex_map(cover, base, p.vertex_map)
 
 
 # -- the indexed checks against the delta-scanning references ---------------------

@@ -169,10 +169,9 @@ def test_lanes_follow_the_counts_not_the_largest_out_degree():
     assert set(counts.entries) == {0, 1}
     n = len(BRANCH_OFF_A_CYCLE.states)
     tables = [BRANCH_OFF_A_CYCLE._rows["a"]] * len(w)
-    columns, size = walk_packed(
-        NAT, tables, [n] * len(w), lambda size: [1 << (8 * size * q) for q in range(n)], n)
+    columns = walk_packed(NAT, tables, [(q, q, 1) for q in range(n)], n, n)
     # the bound over the whole word is 2^400, 51 bytes; the sums stay at 2
-    assert size == 8
+    assert {column.itemsize for column in columns if column is not None} == {8}
 
 
 ONE_STATE = Nfa.make(["s"], ["a", "b"], [("s", "a", "s")], ["s"], ["s"])
@@ -189,3 +188,83 @@ def test_word_matrix_on_the_smallest_machines(machine, w):
         assert m == dense_word_matrix(machine, w, ring)
         if not w:
             assert m.entries == tuple(int(i == j) for i in range(n) for j in range(n))
+
+
+# -- the packed walk against one dict walk per lane ------------------------------
+
+
+def dict_walk(ring, tables, starts, count, width):
+    """``walk_packed``'s result, one lane at a time: each lane a dict from
+    index to value, stepped through the tables with ``ring.add``."""
+    lanes = [{} for _ in range(count)]
+    for x, lane, v in starts:
+        lanes[lane][x] = v
+    for table in tables:
+        stepped = []
+        for values in lanes:
+            new = {}
+            for x, v in values.items():
+                for y in table[x]:
+                    new[y] = ring.add(new[y], v) if y in new else v
+            stepped.append(new)
+        lanes = stepped
+    out = []
+    for o in range(width):
+        values = [lane.get(o, ring.zero) for lane in lanes]
+        out.append(values if any(values) else None)
+    return out
+
+
+def assert_walks_agree(ring, tables, starts, count, width):
+    got = walk_packed(ring, tables, starts, count, width)
+    assert [None if c is None else list(c) for c in got] == dict_walk(
+        ring, tables, starts, count, width)
+
+
+@st.composite
+def packed_runs(draw):
+    """Random tables, with each step's outputs the next table's length, and
+    start entries of up to 8 lanes, at most one per index and lane."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    tables = [
+        [draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m)) for _ in range(k)]
+        for k, m in zip(sizes, sizes[1:])
+    ]
+    count = draw(st.integers(0, 8))
+    places = [(x, lane) for x in range(sizes[0]) for lane in range(count)]
+    chosen = draw(st.lists(st.sampled_from(places), unique=True) if places else st.just([]))
+    return tables, chosen, count, sizes[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_runs(), st.integers(1, 5))
+def test_walk_packed_is_a_dict_walk_per_lane(run, top):
+    tables, chosen, count, width = run
+    assert_walks_agree(BOOL, tables, [(x, lane, 1) for x, lane in chosen], count, width)
+    # values past 1, and several entries per lane, so NAT lane sums exceed 1
+    starts = [(x, lane, 1 + (x + lane) % top) for x, lane in chosen]
+    assert_walks_agree(NAT, tables, starts, count, width)
+
+
+@pytest.mark.parametrize("ring", [BOOL, NAT])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_walk_packed_with_no_steps_or_an_emptying_table(ring, count):
+    top = 1 if ring is BOOL else 3
+    starts = [(x, lane, min(top, 1 + x)) for x in range(3) for lane in range(count)
+              if x != lane]
+    assert_walks_agree(ring, [], starts, count, 3)
+    # the second table sends no index anywhere, so every column is zero
+    tables = [[[0, 1], [1], [2]], [[], [], []]]
+    assert walk_packed(ring, tables, starts, count, 2) == [None, None]
+    assert_walks_agree(ring, tables[:1], starts, count, 3)
+
+
+def test_walk_packed_chunks_and_widens_a_long_nat_run():
+    # every index reaches every index, so the sums triple at every step: the
+    # bound over 60 steps is 3^60 times the largest sum, past 8 bytes, and
+    # the lanes widen part way through
+    complete = [[0, 1, 2]] * 3
+    starts = [(x, lane, 7 ** lane + x) for x in range(3) for lane in range(4)]
+    got = walk_packed(NAT, [complete] * 60, starts, 4, 3)
+    assert_walks_agree(NAT, [complete] * 60, starts, 4, 3)
+    assert all(len(c) == 4 and min(c) > 1 << 64 for c in got)

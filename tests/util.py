@@ -452,8 +452,6 @@ def reference_graph_map_ok(p, cover, base):
     if set(vm.values()) != set(base.states):
         return False
     for q, a, r in cover.delta:
-        if p.edge_map[(q, a, r)] != (vm[q], a, vm[r]):
-            return False
         if (vm[q], a, vm[r]) not in base.delta:
             return False
     return all(
@@ -467,8 +465,10 @@ def reference_graph_map_ok(p, cover, base):
 def _lifts(p, cover, q, edge, out):
     """The cover edges at q (leaving it when ``out``, else entering it)
     that p sends to the base edge ``edge``."""
+    vm = p.vertex_map
     return [
-        e for e in cover.delta if e[0 if out else 2] == q and p.edge_map[e] == edge
+        (s, a, t) for s, a, t in cover.delta
+        if (s if out else t) == q and (vm[s], a, vm[t]) == edge
     ]
 
 
