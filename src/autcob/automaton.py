@@ -46,8 +46,8 @@ def checked_word(rows, w) -> Word:
 
 def walk(rows, seeds, word) -> set:
     """The basis indices reached from ``seeds`` along ``word``, where
-    ``rows[a][x]`` holds the indices in the image of x under a (the
-    evaluator walks its generator tables, indexed by step, the same way).
+    ``rows[a][x]`` holds the indices in the image of x under a (a single
+    lane of ``walk_packed`` walks its tables, indexed by step, the same way).
     Each letter replaces the frontier by the union of its members' rows."""
     frontier = set(seeds)
     for a in word:
