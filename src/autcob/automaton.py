@@ -86,7 +86,7 @@ def walk_packed(ring, tables, starts, count, width) -> list:
             for o in walk(tables, [x for x, _, _ in starts], range(len(tables))):
                 out[o] = hit
             return out
-        degrees, total, bound = [1] * len(tables), 1, 1
+        degrees, total, bound = (), 1, 1
     else:
         degrees = [max([1, *map(len, table)]) for table in tables]
         sums = [0] * count
@@ -95,18 +95,19 @@ def walk_packed(ring, tables, starts, count, width) -> list:
         bound = total = max(sums, default=0)
         for d in degrees:
             bound *= d
-    bound = min(bound, max(total * total, 1 << 63))
     size = 1  # a power of two: lane_values casts up to 8 bytes, widen moves words
-    while bound >> (8 * size):
+    while min(bound, max(total * total, 1 << 63)) >> (8 * size):
         size *= 2
     columns = [0] * (len(tables[0]) if tables else width)
     for x, lane, v in starts:
         columns[x] |= v << (8 * size * lane)
     sizes = [*map(len, tables[1:]), width]
-    done = 0
+    # the whole run is one chunk when its bound fits; else each chunk ends
+    # where the bound would fill the lanes
+    done, end = 0, 0 if bound >> (8 * size) else len(tables)
     while True:
         limit = 1 << (8 * size)
-        end, bound = done, total
+        bound = total
         while end < len(tables) and bound * degrees[end] < limit:
             bound *= degrees[end]
             end += 1

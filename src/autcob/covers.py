@@ -29,13 +29,16 @@ class GraphMap(Record):
 
     @classmethod
     def from_vertex_map(cls, cover: Nfa, base: Nfa, vertex_map: dict) -> GraphMap:
-        """The map of states given; fails if some cover edge has no image edge."""
-        vm = dict(vertex_map)
-        for q, a, r in cover.delta:
+        """The map of states given; fails if some cover edge has no image
+        edge, naming the least such edge, so every process names the same."""
+        vm, delta = dict(vertex_map), base.delta
+        bad = [(q, a, r) for q, a, r in cover.delta
+               if q not in vm or r not in vm or (vm[q], a, vm[r]) not in delta]
+        if bad:
+            q, a, r = min(bad)
             if q not in vm or r not in vm:
                 raise ValueError(f"vertex map is not total on edge ({q}, {a}, {r})")
-            if (vm[q], a, vm[r]) not in base.delta:
-                raise ValueError(f"edge ({q}, {a}, {r}) has no image in the base")
+            raise ValueError(f"edge ({q}, {a}, {r}) has no image in the base")
         return cls(vm)
 
 

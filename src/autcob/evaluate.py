@@ -36,10 +36,16 @@ its own step list, strides and sizes as exponents of n (a swap joins
 nothing, and one between two components takes no step); ``_run`` raises
 n to them, and each component runs through its own running tensor.  The
 result's nonzeros start as the unit and take the product with each
-component's, each placed at the sum of its wires' offsets in the result,
-so a closed diagram's value is the product of the component scalars (the
-unit when there is none), and a component that evaluates to zero ends
-the loop.  The dense matrix is written once, at the end.
+component's but the last, each placed at the sum of its wires' offsets in
+the result (a unit factor is no product); the last component's are
+written, times each of those, straight into the dense matrix.  So a
+closed diagram's value is the product of the component scalars (the unit
+when there is none), and a component that evaluates to zero ends the loop.
+
+Over BOOL (or any ring where 1 + 1 = 1) a closed component is one iff some
+labelling of its segments has weight one, so it stops at a first witness:
+the first step to meet more than one key runs the rest on one key alone,
+and the others go on only if that gives zero.
 
 Every wire carries one module model: the free module on a finite basis
 (states or points) with a minimal open set U_x around each basis element,
@@ -129,19 +135,21 @@ def _apply(add, tensor, stride, m_in, m_out, table) -> dict:
     return out
 
 
-def _runs(steps):
-    """A component's steps in maximal runs: each step in a run has the
-    stride of the one before it and reads what that one wrote (its n^in is
-    the other's n^out), so for n >= 2 the whole run reads and writes one
-    block of digits, the same in every key; for n <= 1 every digit is 0."""
-    run = []
-    for step in steps:
-        if run and (step[0] != run[-1][0] or step[1] != run[-1][2]):
-            yield run
-            run = []
-        run.append(step)
-    if run:
-        yield run
+def _runs(steps, image) -> list:
+    """A component's steps in maximal runs, each as its stride, the n^in of
+    its first step, the n^out of its last, and its steps' tables, built
+    here, after every guard has passed.  Each step in a run has the stride
+    of the one before it and reads what that one wrote (its n^in is the
+    other's n^out), so for n >= 2 the whole run reads and writes one block
+    of digits, the same in every key; for n <= 1 every digit is 0."""
+    runs = []
+    for stride, m_in, m_out, g in steps:
+        if runs and runs[-1][0] == stride and runs[-1][2] == m_in:
+            runs[-1][2] = m_out
+            runs[-1][3].append(image(g))
+        else:
+            runs.append([stride, m_in, m_out, [image(g)]])
+    return runs
 
 
 def _count(ring, tensor, stride, m_in, m_out, tables) -> dict:
@@ -164,22 +172,28 @@ def _count(ring, tensor, stride, m_in, m_out, tables) -> dict:
     return out
 
 
-def _contract(ring, image, cols, steps) -> dict:
-    """The nonzeros of one component, keyed by the flat index of its
-    codomain basis tuple times its ``cols`` domain columns plus its domain
-    column: the row-major offset in its own matrix.  Each step's table is
-    built here, after every guard has passed.  A single step goes to
-    ``_apply``; a run of two or more steps goes to ``_count``, one packed
-    walk on either ring.  Packing pays only across a run: a lone step
-    would pack and unpack every key for one table."""
-    tensor = {col * cols + col: ring.one for col in range(cols)}
-    for run in _runs(steps):
-        stride, m_in, m_out, g = run[0]
-        if len(run) == 1:
-            tensor = _apply(ring.add, tensor, stride, m_in, m_out, image(g))
+def _contract(ring, tensor, runs, probe) -> dict:
+    """The nonzeros of one component from its running ``tensor``, keyed by
+    the flat index of its codomain basis tuple times its domain columns plus
+    its domain column: the row-major offset in its own matrix.  A single
+    step goes to ``_apply``; a run of two or more steps goes to ``_count``,
+    one packed walk on either ring.  Packing pays only across a run: a lone
+    step would pack and unpack every key for one table.  With ``probe`` (a
+    closed component over an idempotent ring), the first step to meet more
+    than one key first runs the rest on one key alone and stops if that
+    gives one: the rest is linear in the tensor, so its value is that key's
+    OR the others'."""
+    for k, (stride, m_in, m_out, tables) in enumerate(runs):
+        if probe and len(tensor) > 1:
+            key = next(iter(tensor))
+            found = _contract(ring, {key: tensor.pop(key)}, runs[k:], False)
+            if found:
+                return found
+            probe = False
+        if len(tables) == 1:
+            tensor = _apply(ring.add, tensor, stride, m_in, m_out, tables[0])
         else:
-            tables = [image(g) for *_, g in run]
-            tensor = _count(ring, tensor, stride, m_in, run[-1][2], tables)
+            tensor = _count(ring, tensor, stride, m_in, m_out, tables)
     return tensor
 
 
@@ -215,23 +229,27 @@ def _run(machine, diagram: Diagram, ring: Semiring, foam=True) -> Evaluation:
                f"{widest} boundary and {len(dpos)} domain wires", widest + len(dpos))
     rows, cols = n ** len(cod), n ** len(dom)
     image = cache(_model(machine))
-    mul = ring.mul
-    found = [(0, ring.one)]  # (flat offset, value) of each nonzero so far
+    one, mul = ring.one, ring.mul
+    probe = ring.add(one, one) == one
+    found = nonzeros = [(0, one)]  # (flat offset, value): the product so far, the last
     for dpos, cpos, _, steps in parts:
+        found = [(o1 + o2, v2 if v1 == one else mul(v1, v2))
+                 for o1, v1 in found for o2, v2 in nonzeros]
         width = n ** len(dpos)
-        steps = [(n ** e, n ** i, n ** o, g) for e, i, o, g in steps]
-        tensor = _contract(ring, image, width, steps)
+        runs = _runs([(n ** e, n ** i, n ** o, g) for e, i, o, g in steps], image)
+        tensor = {col * width + col: one for col in range(width)}
+        tensor = _contract(ring, tensor, runs, probe and not (dpos or cpos))
         at_row = _spread(n, cpos, len(cod), cols)
         at_col = _spread(n, dpos, len(dom), 1)
         nonzeros = [
             (at_row[key // width] + at_col[key % width], v) for key, v in tensor.items()
         ]
-        found = [(o1 + o2, mul(v1, v2)) for o1, v1 in found for o2, v2 in nonzeros]
-        if not found:
+        if not nonzeros:
             break
     ent = [ring.zero] * (rows * cols)
-    for r, v in found:
-        ent[r] = v
+    for o1, v1 in found:
+        for o2, v2 in nonzeros:
+            ent[o1 + o2] = v2 if v1 == one else mul(v1, v2)
     return Evaluation(Mat(ring, rows, cols, tuple(ent)))
 
 

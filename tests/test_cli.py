@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from autcob.errors import ShapeError
 from autcob.topology import FinTop, TAutomaton
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SRC = SAMPLES.parent / "src"
 A2_PATH = str(SAMPLES / "two_state.json")
 H1_PATH = str(SAMPLES / "marked_pair.json")
 TAUT_PATH = str(SAMPLES / "sierpinski.json")
@@ -155,6 +159,32 @@ def test_cover_check_refuses_a_map_key_that_names_no_cover_state(tmp_path, capsy
         )
         assert (code, out) == (2, "")
         assert "junk" in err
+
+
+def test_cover_check_names_the_same_bad_edge_in_every_process(tmp_path):
+    # the cover's edges are a set of strings, whose order follows the hash
+    # seed; a failed check names the least bad edge whatever that order is
+    base = Nfa.make(["p", "q"], ["a", "b"], [], [], [])
+    cover = Nfa.make(
+        ["p0", "q0", "r0"], ["a", "b"],
+        [("q0", "a", "p0"), ("q0", "b", "p0"), ("p0", "b", "q0"), ("r0", "a", "r0")],
+        [], [],
+    )
+    paths = {}
+    for name, data in (("base", base.to_json()), ("cover", cover.to_json()),
+                       ("map", json.dumps({"vertices": {"p0": "p", "q0": "q"}}))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(data)
+    argv = [sys.executable, "-m", "autcob.cli", "cover", "check", "--map",
+            str(paths["map"]), "--cover", str(paths["cover"]), "--base", str(paths["base"])]
+    errors = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert (done.returncode, done.stdout) == (2, "")
+        errors.add(done.stderr)
+    assert errors == {"error: edge (p0, b, q0) has no image in the base\n"}
 
 
 def test_cover_voltage_defaults_to_identity(tmp_path, capsys):

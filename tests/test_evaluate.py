@@ -360,12 +360,31 @@ def test_walked_runs_on_tautomata_match_dense_layers(seed):
     assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
 
 
+def spy_contract(monkeypatch):
+    """Record each ``_contract`` call as (nested, start keys, result): a
+    nested call is a probe, which runs one key of a closed component."""
+    calls, depth, real = [], [], evaluate._contract
+
+    def spy(ring, tensor, runs, probe):
+        start = dict(tensor)
+        depth.append(None)
+        try:
+            out = real(ring, tensor, runs, probe)
+        finally:
+            depth.pop()
+        calls.append((bool(depth), start, dict(out)))
+        return out
+
+    monkeypatch.setattr(evaluate, "_contract", spy)
+    return calls
+
+
 def basis_tables(machine):
     """The basis interface that word queries and the evaluator read."""
     return machine._index, machine._rows, machine._up, machine._ends
 
 
-def test_evaluation_leaves_the_rows_it_reads_unchanged():
+def test_evaluation_leaves_the_rows_it_reads_unchanged(monkeypatch):
     # '+' dots read Nfa._rows and TAutomaton._rows as their tables, bare '+'
     # strands read _up, and a birth's table is the cached _ends list itself,
     # whether a step applies them alone or a walk runs through them: no
@@ -390,6 +409,7 @@ def test_evaluation_leaves_the_rows_it_reads_unchanged():
             for _ in range(5):
                 yield random_closed_diagram(rng, letters=letters, foam=True)
 
+    calls = spy_contract(monkeypatch)
     for _ in range(5):
         nfa = random_nfa(rng, max_states=4, alphabet=letters)
         taut = random_tautomaton(rng, max_points=4, alphabet=letters)
@@ -404,6 +424,9 @@ def test_evaluation_leaves_the_rows_it_reads_unchanged():
         assert answers == [
             (m.interval_eval(w), m.trace_eval(w)) for m in (nfa, taut) for w in words
         ]
+    # closed components over BOOL were probed one key at a time, some
+    # probes deciding the value and some missing
+    assert {bool(out) for nested, _, out in calls if nested} == {True, False}
 
 
 def twelve_state_cycle():
@@ -423,6 +446,81 @@ def test_two_side_by_side_circles_on_twelve_states():
         assert eval_nfa(nfa, d).scalar() == int(want)
         wants.add(want)
     assert wants == {True, False}
+
+
+# -- early stop of closed BOOL components, and the dense write ---------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_closed_bool_diagrams_match_path_counts_and_dense_layers(seed):
+    # a closed BOOL component stops at the first key whose paths give one;
+    # NAT never stops, and dense layers never walk
+    rng = random.Random(seed)
+    nfa = random_nfa(rng, max_states=3, density=rng.choice([0.2, 0.4, 0.7]))
+    for _ in range(3):
+        d = random_closed_diagram(rng, letters=nfa.alphabet, foam=False,
+                                  endpoints=True, max_width=3)
+        value = eval_nfa(nfa, d).scalar()
+        assert value == int(eval_nfa(nfa, d, NAT).scalar() != 0)
+        assert eval_nfa(nfa, d).matrix == dense_eval_nfa(nfa, d, BOOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_closed_foams_match_dense_layers(seed):
+    rng = random.Random(seed)
+    taut = random_tautomaton(rng, max_points=3)
+    for _ in range(3):
+        d = random_closed_diagram(rng, letters=taut.alphabet, foam=True,
+                                  endpoints=rng.random() < 0.5, max_width=3)
+        assert eval_tautomaton(taut, d).matrix == dense_eval_tautomaton(taut, d)
+
+
+def test_a_probe_that_misses_leaves_the_value_to_the_other_keys(monkeypatch):
+    # q0 -> q1 -> q1 under a: the cup's first key, (q0, q0), walks to
+    # (q1, q0) and closes nothing; the second, (q1, q1), closes the circle
+    nfa = Nfa.make(["q0", "q1"], ["a"], [("q0", "a", "q1"), ("q1", "a", "q1")], [], [])
+    calls = spy_contract(monkeypatch)
+    assert eval_nfa(nfa, circle_diagram("a")).scalar() == 1 == int(nfa.trace_eval("a"))
+    assert calls == [(True, {0: 1}, {}), (False, {0: 1}, {0: 1})]
+    calls.clear()
+    assert eval_nfa(nfa, circle_diagram("a"), NAT).scalar() == 1
+    assert calls == [(False, {0: 1}, {0: 1})]
+
+
+def test_a_zero_circle_runs_every_key(monkeypatch):
+    # on Z_64, a adds 1 or 2 and b adds 1 or 3, so "ab"*10 moves a state by
+    # 20 to 50 and no walk closes: the one probe misses, and the other keys
+    # go on together, with no second probe, and give zero
+    n = 64
+    states = [f"x{i}" for i in range(n)]
+    delta = [(states[i], a, states[(i + k) % n]) for i in range(n)
+             for a, steps in (("a", (1, 2)), ("b", (1, 3))) for k in steps]
+    nfa = Nfa.make(states, ["a", "b"], delta, [], [])
+    w = "ab" * 10
+    calls = spy_contract(monkeypatch)
+    assert eval_nfa(nfa, circle_diagram(w)).scalar() == 0 == int(nfa.trace_eval(w))
+    assert [(nested, out) for nested, _, out in calls] == [(True, {}), (False, {})]
+    assert eval_nfa(nfa, circle_diagram(w), NAT).scalar() == 0
+
+
+def test_open_counts_take_the_product_with_every_component():
+    # on the complete automaton a word of k letters joins any two states by
+    # 3^(k-1) paths and closes 3^k walks, so each component's entries exceed
+    # one and the fold and the dense write multiply them
+    states = ["p", "q", "r"]
+    nfa = Nfa.make(states, ["a", "b"],
+                   [(x, a, y) for x in states for a in "ab" for y in states], [], [])
+
+    def strand(w):
+        return Diagram.make([[dot(a)] for a in w], domain=("+",))
+
+    d = tensor(strand("aa"), tensor(circle_diagram("ab"), strand("bab")))
+    m = eval_nfa(nfa, d, NAT).matrix
+    assert m == dense_eval_nfa(nfa, d, NAT)
+    assert set(m.entries) == {3 * 9 * 9}  # aa, the circle ab, bab
+    assert eval_nfa(nfa, d).matrix == dense_eval_nfa(nfa, d, BOOL)
 
 
 # -- functor laws ----------------------------------------------------------------
@@ -716,8 +814,8 @@ def test_guard_bounds_the_result_before_evaluating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated past the guard")
 
-    # every running tensor is allocated inside the contraction, and every
-    # table is built through the model
+    # the model is read before any running tensor or table is made, and
+    # every running tensor is contracted inside ``_contract``
     monkeypatch.setattr(evaluate, "_contract", no_allocation)
     monkeypatch.setattr(evaluate, "_model", no_allocation)
     with pytest.raises(CapacityError) as err:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,19 @@ def test_trace_shrink_marks_exponents_divisible_by_the_cover_cycle():
     for n, marks in rows.items():
         # the n-fold cover of the 2-cycle is one cycle of length 2n
         assert marks == ["*" if k % (2 * n) == 0 else "." for k in exponents], n
+
+
+def test_eval_digest_does_not_follow_the_hash_seed():
+    outputs = set()
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "eval_digest.py"), "12"],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        outputs.add(done.stdout)
+    (out,) = outputs
+    lines = out.splitlines()
+    assert lines[0] == "seeds 12"
+    assert lines[1].split()[0] == "matrices" and int(lines[1].split()[1]) > 0
+    assert lines[-1].split()[0] == "sha256" and len(lines[-1].split()[1]) == 64
